@@ -1,12 +1,13 @@
 //! Throughput of the §5.1 statistics — the cost of the value fit
 //! detector over realistic column sizes.
 //!
-//! Three implementations are measured against each other:
+//! Three paths are measured against each other:
 //!
 //! * `*_multipass` — the legacy reference: one full column walk per
 //!   statistic (up to eight passes);
-//! * `*_profile` — the fused single-pass kernel over row-major values;
-//! * `*_columnar` — the fused kernel over the typed columnar store
+//! * `*_profile` — the single-pass `PartialProfile` accumulator fed
+//!   row-major values one at a time;
+//! * `*_columnar` — the same accumulator over the typed columnar store
 //!   (dictionary-weighted statistics for text columns).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -19,6 +19,7 @@
 
 use efes::modules::StructureModule;
 use efes::prelude::*;
+use efes_bench::Provenance;
 use efes_exec::ExecutionMode;
 use efes_matching::CombinedMatcher;
 use efes_profiling::{AttributeProfile, ProfileCache};
@@ -41,22 +42,6 @@ fn median_ns(iters: usize, mut f: impl FnMut()) -> u64 {
         .collect();
     samples.sort_unstable();
     samples[samples.len() / 2]
-}
-
-fn commit() -> String {
-    if let Ok(sha) = std::env::var("GITHUB_SHA") {
-        if !sha.is_empty() {
-            return sha;
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 #[derive(Serialize)]
@@ -90,7 +75,7 @@ struct ShapeSummary {
 #[derive(Serialize)]
 struct Report {
     scenario: String,
-    commit: String,
+    provenance: Provenance,
     quick: bool,
     shape: ShapeSummary,
     points: Vec<Point>,
@@ -151,6 +136,9 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_scale.json".to_owned());
+    // Captured before anything is written, so the dirty flag describes
+    // the measured tree, not this run's own report.
+    let provenance = Provenance::capture();
 
     // Half-decade steps 10^4 → 10^7 (10^4 → 10^5 for --quick).
     let scales: &[usize] = if quick {
@@ -236,7 +224,7 @@ fn main() {
     let shape = sweep_config(0);
     let report = Report {
         scenario: "synth-scale-sweep".to_owned(),
-        commit: commit(),
+        provenance,
         quick,
         shape: ShapeSummary {
             tables: shape.shape.tables,

@@ -1,6 +1,6 @@
 //! `bench_smoke` — a fast, plain-wall-clock benchmark of the profiling
 //! and matching hot paths, for CI smoke runs and for recording the
-//! fused-kernel / columnar-store / sparse-flooding / pruned-matcher
+//! accumulator / columnar-store / sparse-flooding / pruned-matcher
 //! speedups next to the commit that produced them.
 //!
 //! ```text
@@ -15,12 +15,13 @@
 //! point is a recorded order-of-magnitude trend per commit. The process
 //! fails (non-zero exit) only on build/run errors, never on regressions.
 
-use efes_exec::{available_threads, ExecutionMode, RunContext};
+use efes_bench::Provenance;
+use efes_exec::ExecutionMode;
 use efes_matching::{
     similarity_flooding, similarity_flooding_reference, CombinedMatcher, FloodingConfig,
     MatcherConfig, PrunePolicy,
 };
-use efes_profiling::{kernel, shard, AttributeProfile, ProfileCache};
+use efes_profiling::{AttributeProfile, ProfileCache};
 use efes_relational::{Column, DataType, Database, DatabaseBuilder, Value};
 use serde::Serialize;
 use std::time::Instant;
@@ -36,39 +37,20 @@ struct Stage {
 
 #[derive(Serialize)]
 struct Speedups {
-    text_fused: f64,
+    text_accumulator: f64,
     text_columnar: f64,
     text_columnar_including_build: f64,
-    numeric_fused: f64,
+    numeric_accumulator: f64,
     numeric_columnar: f64,
-}
-
-/// Sharded-monoid vs fused-kernel ratios at the fixed 100k-row size,
-/// per thread count. Ratios are fused_median / sharded_median, so > 1
-/// means the sharded path is faster. On a single-core host every entry
-/// sits near 1.0 (there is no parallelism to win); the `host_threads`
-/// field of the report records what the numbers could use.
-#[derive(Serialize)]
-struct ShardedSpeedups {
-    text_hicard_sharded_1t: f64,
-    text_hicard_sharded_4t: f64,
-    text_hicard_sharded_max: f64,
-    numeric_sharded_1t: f64,
-    numeric_sharded_4t: f64,
-    numeric_sharded_max: f64,
 }
 
 #[derive(Serialize)]
 struct Report {
     scenario: String,
-    commit: String,
+    provenance: Provenance,
     quick: bool,
-    /// Hardware threads available on the benchmarking host — the upper
-    /// bound any sharded speedup below could reach.
-    host_threads: usize,
     stages: Vec<Stage>,
     speedups_vs_multipass: Speedups,
-    speedups_sharded_vs_fused: ShardedSpeedups,
 }
 
 #[derive(Serialize)]
@@ -80,7 +62,7 @@ struct MatchingSpeedups {
 #[derive(Serialize)]
 struct MatchingReport {
     scenario: String,
-    commit: String,
+    provenance: Provenance,
     quick: bool,
     tables: usize,
     attrs_per_table: usize,
@@ -131,10 +113,9 @@ fn int_column(n: usize) -> Vec<Value> {
 }
 
 /// High-cardinality text column: essentially one distinct string per
-/// row. The dictionary walk *is* the profiling cost here, which is the
-/// shape the sharded evaluator splits across threads (low-cardinality
-/// columns like [`text_column`] have a ~420-entry dictionary — nothing
-/// to shard).
+/// row. The dictionary walk *is* the profiling cost here, and there is
+/// one value count per row, so this is the shape where finalizing
+/// (constancy over every count, top-k selection) costs the most.
 fn hicard_text_column(n: usize) -> Vec<Value> {
     (0..n)
         .map(|i| {
@@ -161,22 +142,6 @@ fn median_ns(iters: usize, mut f: impl FnMut()) -> u64 {
     samples[samples.len() / 2]
 }
 
-fn commit() -> String {
-    if let Ok(sha) = std::env::var("GITHUB_SHA") {
-        if !sha.is_empty() {
-            return sha;
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -192,6 +157,9 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_matching.json".to_owned());
+    // Captured before either report is written, so the dirty flag
+    // describes the measured tree, not this run's own output.
+    let provenance = Provenance::capture();
 
     let (rows, iters) = if quick { (20_000usize, 5usize) } else { (100_000, 9) };
 
@@ -217,7 +185,7 @@ fn main() {
     let text_multi = record("text_profile_multipass", median_ns(iters, || {
         std::hint::black_box(AttributeProfile::compute_multipass(texts.iter(), DataType::Text));
     }));
-    let text_fused = record("text_profile_fused", median_ns(iters, || {
+    let text_acc = record("text_profile_accumulator", median_ns(iters, || {
         std::hint::black_box(AttributeProfile::compute(texts.iter(), DataType::Text));
     }));
     // Includes the one-off columnar build: the end-to-end cost a cold
@@ -234,7 +202,7 @@ fn main() {
     let num_multi = record("numeric_profile_multipass", median_ns(iters, || {
         std::hint::black_box(AttributeProfile::compute_multipass(ints.iter(), DataType::Integer));
     }));
-    let num_fused = record("numeric_profile_fused", median_ns(iters, || {
+    let num_acc = record("numeric_profile_accumulator", median_ns(iters, || {
         std::hint::black_box(AttributeProfile::compute(ints.iter(), DataType::Integer));
     }));
     let int_store = Column::build(&int_rows, 0);
@@ -242,22 +210,21 @@ fn main() {
         std::hint::black_box(AttributeProfile::compute_columnar(&int_store, DataType::Integer));
     }));
 
-    // ---- sharded monoid evaluator, fixed 100k rows ----
+    // ---- accumulator over typed columns, fixed 100k rows ----
     // Always the full-size columns (even under --quick, with fewer
-    // iters): sharding below its row threshold measures nothing.
-    let shard_rows = 100_000usize;
-    let shard_iters = if quick { 3usize } else { 5 };
-    let host_threads = available_threads();
-    let hicard_store = Column::from_cells(hicard_text_column(shard_rows));
-    let int100_store = Column::from_cells(int_column(shard_rows));
-    let run = RunContext::unbounded();
+    // iters): high-cardinality text and distinct integers are where the
+    // count map, and so finalize, is largest.
+    let wide_rows = 100_000usize;
+    let wide_iters = if quick { 3usize } else { 5 };
+    let hicard_store = Column::from_cells(hicard_text_column(wide_rows));
+    let int100_store = Column::from_cells(int_column(wide_rows));
 
-    let mut record_shard = |name: &str, ns: u64| {
+    let mut record_wide = |name: &str, ns: u64| {
         eprintln!("  {name:32} {:10.3} ms", ns as f64 / 1e6);
         stages.push(Stage {
             name: name.to_owned(),
-            rows: shard_rows,
-            iters: shard_iters,
+            rows: wide_rows,
+            iters: wide_iters,
             median_ns: ns,
             median_ms: ns as f64 / 1e6,
         });
@@ -265,35 +232,14 @@ fn main() {
     };
 
     eprintln!(
-        "bench_smoke: sharded profiling, {shard_rows} rows × {shard_iters} iters (median), {host_threads} host threads"
+        "bench_smoke: accumulator over typed columns, {wide_rows} rows × {wide_iters} iters (median)"
     );
-    let hicard_fused = record_shard("text_hicard_profile_fused", median_ns(shard_iters, || {
-        std::hint::black_box(kernel::profile_column(&hicard_store, DataType::Text));
+    record_wide("text_hicard_profile_accumulator", median_ns(wide_iters, || {
+        std::hint::black_box(AttributeProfile::compute_columnar(&hicard_store, DataType::Text));
     }));
-    let num100_fused = record_shard("numeric_100k_profile_fused", median_ns(shard_iters, || {
-        std::hint::black_box(kernel::profile_column(&int100_store, DataType::Integer));
+    record_wide("numeric_100k_profile_accumulator", median_ns(wide_iters, || {
+        std::hint::black_box(AttributeProfile::compute_columnar(&int100_store, DataType::Integer));
     }));
-    let sharded = |col: &Column, dt: DataType, threads: usize| {
-        let mode = ExecutionMode::with_threads(threads);
-        median_ns(shard_iters, || {
-            std::hint::black_box(
-                shard::profile_column_sharded_with(col, dt, &run, mode)
-                    .expect("unbounded run never cancels"),
-            );
-        })
-    };
-    let hicard_1t = sharded(&hicard_store, DataType::Text, 1);
-    record_shard("text_hicard_profile_sharded_1t", hicard_1t);
-    let hicard_4t = sharded(&hicard_store, DataType::Text, 4);
-    record_shard("text_hicard_profile_sharded_4t", hicard_4t);
-    let hicard_max = sharded(&hicard_store, DataType::Text, host_threads);
-    record_shard("text_hicard_profile_sharded_max", hicard_max);
-    let num100_1t = sharded(&int100_store, DataType::Integer, 1);
-    record_shard("numeric_100k_profile_sharded_1t", num100_1t);
-    let num100_4t = sharded(&int100_store, DataType::Integer, 4);
-    record_shard("numeric_100k_profile_sharded_4t", num100_4t);
-    let num100_max = sharded(&int100_store, DataType::Integer, host_threads);
-    record_shard("numeric_100k_profile_sharded_max", num100_max);
 
     let ratio = |base: u64, new: u64| {
         if new == 0 {
@@ -304,33 +250,24 @@ fn main() {
     };
     let report = Report {
         scenario: "profiling-hot-path".to_owned(),
-        commit: commit(),
+        provenance: provenance.clone(),
         quick,
-        host_threads,
         stages,
         speedups_vs_multipass: Speedups {
-            text_fused: ratio(text_multi, text_fused),
+            text_accumulator: ratio(text_multi, text_acc),
             text_columnar: ratio(text_multi, text_col),
             text_columnar_including_build: ratio(text_multi, text_col_build),
-            numeric_fused: ratio(num_multi, num_fused),
+            numeric_accumulator: ratio(num_multi, num_acc),
             numeric_columnar: ratio(num_multi, num_col),
-        },
-        speedups_sharded_vs_fused: ShardedSpeedups {
-            text_hicard_sharded_1t: ratio(hicard_fused, hicard_1t),
-            text_hicard_sharded_4t: ratio(hicard_fused, hicard_4t),
-            text_hicard_sharded_max: ratio(hicard_fused, hicard_max),
-            numeric_sharded_1t: ratio(num100_fused, num100_1t),
-            numeric_sharded_4t: ratio(num100_fused, num100_4t),
-            numeric_sharded_max: ratio(num100_fused, num100_max),
         },
     };
     let pretty = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write(&out_path, pretty + "\n").expect("write report");
     eprintln!(
-        "speedups vs multipass: text fused {:.2}x, text columnar {:.2}x, numeric fused {:.2}x, numeric columnar {:.2}x",
-        ratio(text_multi, text_fused),
+        "speedups vs multipass: text accumulator {:.2}x, text columnar {:.2}x, numeric accumulator {:.2}x, numeric columnar {:.2}x",
+        ratio(text_multi, text_acc),
         ratio(text_multi, text_col),
-        ratio(num_multi, num_fused),
+        ratio(num_multi, num_acc),
         ratio(num_multi, num_col),
     );
     eprintln!("wrote {out_path}");
@@ -388,7 +325,7 @@ fn main() {
 
     let matching_report = MatchingReport {
         scenario: "matching-hot-path".to_owned(),
-        commit: commit(),
+        provenance,
         quick,
         tables: m_tables,
         attrs_per_table: m_attrs,

@@ -10,8 +10,10 @@
 
 pub mod artifacts;
 pub mod figures;
+pub mod provenance;
 pub mod speedup;
 
 pub use artifacts::*;
 pub use figures::*;
+pub use provenance::Provenance;
 pub use speedup::*;

@@ -107,7 +107,7 @@ impl ValueModule {
         let cancelled = || ModuleError::cancelled("values");
         let source_profile = ctx
             .cache
-            .of_attribute_sharded_ctx(
+            .of_attribute_ctx(
                 &ctx.run,
                 source,
                 ProfileKey {
@@ -116,12 +116,11 @@ impl ValueModule {
                     attr: sa.attr,
                     reference_type: target_type,
                 },
-                ctx.mode,
             )
             .map_err(|_| cancelled())?;
         let target_profile = ctx
             .cache
-            .of_attribute_sharded_ctx(
+            .of_attribute_ctx(
                 &ctx.run,
                 &scenario.target,
                 ProfileKey {
@@ -130,7 +129,6 @@ impl ValueModule {
                     attr: ta.attr,
                     reference_type: target_type,
                 },
-                ctx.mode,
             )
             .map_err(|_| cancelled())?;
         let location = format!(

@@ -13,8 +13,9 @@
 //!
 //! [`CsgInstance::link_counts`] routes through the counting evaluator
 //! plus a per-instance expression memo (each distinct `(expr, domain)`
-//! pair is evaluated once per instance epoch); `EFES_CSG_COUNT=off`
-//! forces the oracle path at run time.
+//! pair is evaluated once per instance epoch). The `BTreeSet` path is
+//! reached only through [`CsgInstance::link_counts_reference_ctx`],
+//! which tests and benches call as the oracle.
 
 use crate::expr::{DomainWidth, RelExpr};
 use crate::graph::{Csg, Direction, NodeId, RelId, RelRef};
@@ -23,7 +24,7 @@ use efes_relational::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// An element of a node's extension: an abstract tuple identity for table
 /// nodes, a concrete value for attribute nodes (paper Example 4.1).
@@ -43,38 +44,6 @@ pub type Key = Vec<u32>;
 /// (possibly compound) codomain key. `BTreeSet` keeps evaluation
 /// deterministic.
 pub type LinkSet = BTreeSet<(Key, Key)>;
-
-/// Environment variable selecting the `link_counts` evaluation path
-/// (`on` = counting evaluator, `off` = BTreeSet oracle).
-pub const CSG_COUNT_ENV_VAR: &str = "EFES_CSG_COUNT";
-
-/// Parse an `EFES_CSG_COUNT` value; `None` means unparsable.
-pub fn parse_csg_count(raw: &str) -> Option<bool> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "on" | "1" | "true" | "yes" | "" => Some(true),
-        "off" | "0" | "false" | "no" => Some(false),
-        _ => None,
-    }
-}
-
-fn counting_enabled() -> bool {
-    match std::env::var(CSG_COUNT_ENV_VAR) {
-        Err(_) => true,
-        Ok(raw) => match parse_csg_count(&raw) {
-            Some(enabled) => enabled,
-            None => {
-                static WARN_ONCE: Once = Once::new();
-                WARN_ONCE.call_once(|| {
-                    eprintln!(
-                        "warning: unparsable {CSG_COUNT_ENV_VAR}={raw:?}; \
-                         expected on/off (or 1/0, true/false, yes/no), keeping counting on"
-                    );
-                });
-                true
-            }
-        },
-    }
-}
 
 static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -466,8 +435,7 @@ impl CsgInstance {
     ///
     /// Results are memoised per `(expr, domain)` until the next
     /// mutation ([`eval_epoch`](Self::eval_epoch)); evaluation streams
-    /// through [`count_eval`](Self::count_eval) unless
-    /// `EFES_CSG_COUNT=off` forces the `BTreeSet` oracle.
+    /// through [`count_eval`](Self::count_eval).
     pub fn link_counts(&self, expr: &RelExpr, domain: NodeId) -> Vec<u64> {
         let run = RunContext::unbounded();
         let ck = run.checkpoint();
@@ -539,12 +507,7 @@ impl CsgInstance {
             return Ok(hit.clone());
         }
         MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-        let counts = if counting_enabled() {
-            self.count_eval_ctx(expr, domain, ck)?
-        } else {
-            self.link_counts_reference_ctx(expr, domain, ck)?
-        };
-        let arc = Arc::new(counts);
+        let arc = Arc::new(self.count_eval_ctx(expr, domain, ck)?);
         self.caches
             .memo
             .lock()
@@ -557,8 +520,7 @@ impl CsgInstance {
     /// full link set with [`eval_ctx`](Self::eval_ctx), then tally
     /// singleton-key domains. Kept as the differential-test oracle
     /// (same pattern as `compute_multipass` and
-    /// `similarity_flooding_reference`) and as the run-time fallback
-    /// behind `EFES_CSG_COUNT=off`.
+    /// `similarity_flooding_reference`); no production path calls it.
     pub fn link_counts_reference_ctx(
         &self,
         expr: &RelExpr,

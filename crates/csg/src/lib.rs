@@ -48,7 +48,7 @@ pub use cardinality::Cardinality;
 pub use convert::{database_to_csg, database_to_csg_ctx};
 pub use expr::{DomainWidth, RelExpr};
 pub use graph::{Csg, Direction, NodeId, NodeKind, RelId, RelKind, RelRef};
-pub use instance::{eval_memo_counters, CsgInstance, CSG_COUNT_ENV_VAR};
+pub use instance::{eval_memo_counters, CsgInstance};
 pub use matching::{
     match_relationships, match_relationships_with, NodeCorrespondences, RelationshipMatch,
 };

@@ -8,7 +8,7 @@
 use efes_csg::cardinality::Cardinality;
 use efes_csg::expr::{DomainWidth, RelExpr, UnionMode};
 use efes_csg::graph::{Csg, NodeId, NodeKind, RelId, RelKind, RelRef};
-use efes_csg::instance::{parse_csg_count, CsgInstance, Element};
+use efes_csg::instance::{CsgInstance, Element};
 use efes_exec::{CancellationToken, Cancelled, RunContext, CHECK_INTERVAL};
 use efes_relational::Value;
 use proptest::prelude::*;
@@ -313,17 +313,6 @@ fn memo_counters_record_hits_and_misses() {
     let (h2, _) = efes_csg::eval_memo_counters();
     assert!(h2 > h1, "replay must record a hit");
     assert_eq!(first, second);
-}
-
-#[test]
-fn csg_count_env_values_parse() {
-    for on in ["on", "1", "true", "yes", "", " ON "] {
-        assert_eq!(parse_csg_count(on), Some(true), "{on:?}");
-    }
-    for off in ["off", "0", "false", "no", " OFF "] {
-        assert_eq!(parse_csg_count(off), Some(false), "{off:?}");
-    }
-    assert_eq!(parse_csg_count("maybe"), None);
 }
 
 #[test]

@@ -4,9 +4,9 @@
 //! spuriously cancelled request, an allocation budget trip — are
 //! exercised rarely by accident and must therefore be exercised on
 //! purpose. This module provides named *injection sites* that the
-//! serving stack consults at well-chosen spots (`exec.pool.job`,
-//! `serve.estimate.job`, `ingest.upload`, `profiling.shard.merge`, …).
-//! Whether a site fires, and
+//! serving stack consults at well-chosen spots: `exec.pool.job`,
+//! `serve.estimate.job`, `ingest.upload` and `profiling.fill` (once per
+//! `ProfileCache` miss). Whether a site fires, and
 //! with which fault, is a pure function of the [`FAULTS_ENV_VAR`] spec
 //! (seed, rate, site filter, mode set) and a per-site hit counter — so
 //! a given seed replays the exact same fault schedule, run after run.

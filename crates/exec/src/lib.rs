@@ -221,38 +221,6 @@ where
     })
 }
 
-/// Reduce `items` to a single value with an associative, order-preserving
-/// `merge`, pairing adjacent elements round by round (a balanced merge
-/// tree) and running each round's merges through [`parallel_map`].
-///
-/// Order preservation matters: `merge(a, b)` is always called with `a`
-/// immediately preceding `b` in the current sequence, so concatenation-
-/// style merges (appending row-ordered buffers) reconstruct the exact
-/// sequential result. An odd trailing element passes through a round
-/// unmerged. Returns `None` for an empty input.
-///
-/// For `n` chunks the tree performs `n - 1` merges in `ceil(log2 n)`
-/// rounds, so chunked profiling merges scale with the thread budget
-/// instead of serialising behind a left fold.
-pub fn merge_tree<T, F>(mode: ExecutionMode, mut items: Vec<T>, merge: F) -> Option<T>
-where
-    T: Send,
-    F: Fn(T, T) -> T + Sync,
-{
-    while items.len() > 1 {
-        let mut pairs = Vec::with_capacity(items.len().div_ceil(2));
-        let mut it = items.into_iter();
-        while let Some(a) = it.next() {
-            pairs.push((a, it.next()));
-        }
-        items = parallel_map(mode, pairs, |(a, b)| match b {
-            Some(b) => merge(a, b),
-            None => a,
-        });
-    }
-    items.pop()
-}
-
 /// Run `f`, returning its result and the elapsed wall-clock
 /// milliseconds. The pipeline records these per stage so the repro
 /// binary and benches can print sequential-vs-parallel tables.
@@ -366,30 +334,6 @@ mod tests {
         });
         assert_eq!(r, vec![0]);
         assert_eq!(one, vec![8]);
-    }
-
-    #[test]
-    fn merge_tree_preserves_order_for_concatenation() {
-        for threads in [1usize, 2, 3, 8] {
-            for len in [0usize, 1, 2, 3, 5, 8, 13] {
-                let items: Vec<String> = (0..len).map(|i| i.to_string()).collect();
-                let merged = merge_tree(ExecutionMode::with_threads(threads), items, |a, b| {
-                    format!("{a}{b}")
-                });
-                let expect: String = (0..len).map(|i| i.to_string()).collect();
-                match merged {
-                    Some(s) => assert_eq!(s, expect, "len={len} threads={threads}"),
-                    None => assert_eq!(len, 0, "threads={threads}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn merge_tree_sums_match_a_left_fold() {
-        let items: Vec<u64> = (0..101).collect();
-        let sum = merge_tree(ExecutionMode::Parallel(4), items, |a, b| a + b);
-        assert_eq!(sum, Some(5050));
     }
 
     #[test]

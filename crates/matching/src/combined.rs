@@ -9,8 +9,8 @@
 //! are skipped. Pruning never changes output — the surviving pairs are
 //! scored by the identical code, the dropped pairs would have been
 //! filtered by the threshold anyway (differentially tested in
-//! `tests/differential.rs`) — and `EFES_MATCH_PRUNE=off` (or
-//! [`PrunePolicy::Off`]) forces the exhaustive path at run time.
+//! `tests/differential.rs` against the exhaustive oracle,
+//! [`PrunePolicy::Off`]).
 
 use crate::instance::instance_similarity_cached_ctx;
 use crate::name::{name_similarity, NameIndex, BOUND_SLACK};
@@ -21,60 +21,21 @@ use efes_relational::{
     Correspondence, CorrespondenceSet, Database, SourceId,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::Once;
-
-/// Environment variable controlling candidate pruning (`on`/`off`).
-pub const MATCH_PRUNE_ENV_VAR: &str = "EFES_MATCH_PRUNE";
-
-/// Parse an `EFES_MATCH_PRUNE` value; `None` means unparsable.
-pub fn parse_match_prune(raw: &str) -> Option<bool> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "on" | "1" | "true" | "yes" | "" => Some(true),
-        "off" | "0" | "false" | "no" => Some(false),
-        _ => None,
-    }
-}
-
-fn prune_env_enabled() -> bool {
-    match std::env::var(MATCH_PRUNE_ENV_VAR) {
-        Err(_) => true,
-        Ok(raw) => match parse_match_prune(&raw) {
-            Some(enabled) => enabled,
-            None => {
-                static WARN_ONCE: Once = Once::new();
-                WARN_ONCE.call_once(|| {
-                    eprintln!(
-                        "warning: unparsable {MATCH_PRUNE_ENV_VAR}={raw:?}; \
-                         expected on/off (or 1/0, true/false, yes/no), keeping pruning on"
-                    );
-                });
-                true
-            }
-        },
-    }
-}
 
 /// Whether the matcher prunes candidate pairs before exact scoring.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PrunePolicy {
-    /// Consult [`MATCH_PRUNE_ENV_VAR`] per run (the default; unset
-    /// means on).
+    /// Prune (the default).
     #[default]
-    FromEnv,
-    /// Always prune.
     On,
-    /// Always score exhaustively.
+    /// Score exhaustively: the differential-test oracle.
     Off,
 }
 
 impl PrunePolicy {
-    /// Resolve the policy to a concrete on/off for this run.
+    /// Whether this policy prunes.
     pub fn enabled(self) -> bool {
-        match self {
-            PrunePolicy::On => true,
-            PrunePolicy::Off => false,
-            PrunePolicy::FromEnv => prune_env_enabled(),
-        }
+        self == PrunePolicy::On
     }
 }
 
@@ -153,8 +114,7 @@ pub struct CombinedMatcher {
 }
 
 impl CombinedMatcher {
-    /// Create a matcher with the given configuration (pruning follows
-    /// [`PrunePolicy::FromEnv`]).
+    /// Create a matcher with the given configuration (pruning on).
     pub fn new(config: MatcherConfig) -> Self {
         CombinedMatcher {
             config,
@@ -162,7 +122,7 @@ impl CombinedMatcher {
         }
     }
 
-    /// Pin the pruning policy, overriding [`MATCH_PRUNE_ENV_VAR`].
+    /// Pin the pruning policy.
     pub fn with_prune(mut self, prune: PrunePolicy) -> Self {
         self.prune = prune;
         self

@@ -35,10 +35,7 @@ pub mod name;
 pub mod similarity;
 
 pub use accuracy::{match_accuracy, MatchDiff};
-pub use combined::{
-    parse_match_prune, CombinedMatcher, MatchStats, MatcherConfig, ProposedMatch, PrunePolicy,
-    MATCH_PRUNE_ENV_VAR,
-};
+pub use combined::{CombinedMatcher, MatchStats, MatcherConfig, ProposedMatch, PrunePolicy};
 pub use flooding::{
     similarity_flooding, similarity_flooding_ctx, similarity_flooding_reference,
     similarity_flooding_with, FloodingConfig,

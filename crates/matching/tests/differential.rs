@@ -79,16 +79,15 @@ fn pruned_matching_equals_exhaustive_on_every_registry_scenario() {
 
 #[test]
 fn pruning_actually_prunes_on_registry_scenarios() {
-    // Not just correct but useful: across the registry the bound must
-    // discard a substantial share of the pair grid at the default
-    // threshold.
+    // Not just correct but useful: across the registry the default
+    // matcher (pruning on) must discard a substantial share of the pair
+    // grid at the default threshold.
     let registry = standard_registry();
     let (mut total, mut pruned) = (0usize, 0usize);
     for name in registry.names() {
         let scenario = registry.get(name).unwrap();
         for source in &scenario.sources {
             let (_, stats) = CombinedMatcher::new(MatcherConfig::default())
-                .with_prune(PrunePolicy::On)
                 .propose_attribute_matches_stats(
                     source,
                     &scenario.target,

@@ -9,12 +9,13 @@
 //! lookup keyed by (database tag, table, attribute, reference datatype),
 //! so each distinct profile is computed exactly once per estimation run
 //! — also under concurrent access from the parallel execution layer.
+//!
+//! Every fill runs the one profiling kernel, [`PartialProfile`], and
+//! consults the `profiling.fill` fault-injection site once per miss.
 
-use crate::monoid::PartialProfile;
+use crate::partial::PartialProfile;
 use crate::profile::AttributeProfile;
-use crate::shard::{self, ShardPolicy};
-use efes_exec::{Cancelled, ExecutionMode, RunContext};
-use efes_relational::column::columnar_enabled;
+use efes_exec::{fault, Cancelled, ExecutionMode, RunContext};
 use efes_relational::schema::{AttrId, TableId};
 use efes_relational::{DataType, Database};
 use std::collections::HashMap;
@@ -167,12 +168,11 @@ impl ProfileCache {
     }
 
     /// Switch this cache into partial-retaining mode: every profile
-    /// computed through
-    /// [`of_attribute_sharded_ctx`](Self::of_attribute_sharded_ctx)
-    /// keeps its mergeable [`PartialProfile`] alongside the finalized
-    /// result, so [`snapshot_partials`](Self::snapshot_partials) can
-    /// hand them to an O(delta) append. Costs the partial's memory per
-    /// entry; intended for caches backing mutable (uploaded) scenarios.
+    /// computed through [`of_attribute_ctx`](Self::of_attribute_ctx)
+    /// keeps its [`PartialProfile`] alongside the finalized result, so
+    /// [`snapshot_partials`](Self::snapshot_partials) can hand them to
+    /// an O(delta) append. Costs the partial's memory per entry;
+    /// intended for caches backing mutable (uploaded) scenarios.
     pub fn retaining_partials(mut self) -> Self {
         self.retain_partials = true;
         self
@@ -262,7 +262,8 @@ impl ProfileCache {
     /// The fill protocol shared by every lookup path: `compute` may
     /// return the [`PartialProfile`] the profile was finalized from,
     /// which is retained in the slot for
-    /// [`snapshot_partials`](Self::snapshot_partials).
+    /// [`snapshot_partials`](Self::snapshot_partials). Each miss consults
+    /// the `profiling.fill` fault site once before computing.
     fn get_or_compute_with_partial_ctx(
         &self,
         run: &RunContext,
@@ -326,7 +327,10 @@ impl ProfileCache {
         // compute itself runs without holding any lock.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut guard = FillGuard { cell: &cell, armed: true };
-        match compute() {
+        // The alloc-cap mode has no budget to trip here; panic, delay
+        // and cancel act through `fire` itself.
+        let _alloc_capped = fault::fire("profiling.fill", Some(run.token()));
+        match run.check().and_then(|()| compute()) {
             Ok((profile, partial)) => {
                 let profile = Arc::new(profile);
                 guard.armed = false;
@@ -344,70 +348,46 @@ impl ProfileCache {
     /// Profile a concrete attribute of `db` through the cache. `key.db`
     /// must consistently identify `db` across all calls on this cache.
     pub fn of_attribute(&self, db: &Database, key: ProfileKey) -> Arc<AttributeProfile> {
-        self.get_or_compute(key, || {
-            AttributeProfile::of_attribute(db, key.table, key.attr, key.reference_type)
-        })
+        self.of_attribute_ctx(&RunContext::unbounded(), db, key)
+            .expect("unbounded context never cancels")
     }
 
     /// [`of_attribute`](Self::of_attribute) under a [`RunContext`]: the
     /// profiling walk ticks a checkpoint per cell, so cancellation
     /// aborts a running fill within one check interval and the slot
     /// recovers per [`get_or_compute_ctx`](Self::get_or_compute_ctx).
+    /// On a [partial-retaining](Self::retaining_partials) cache the
+    /// filled slot also keeps the partial for the O(delta) append path.
     pub fn of_attribute_ctx(
         &self,
         run: &RunContext,
         db: &Database,
         key: ProfileKey,
     ) -> Result<Arc<AttributeProfile>, Cancelled> {
-        self.get_or_compute_ctx(run, key, || {
-            let ck = run.checkpoint();
-            AttributeProfile::of_attribute_ctx(db, key.table, key.attr, key.reference_type, &ck)
+        self.get_or_compute_with_partial_ctx(run, key, || {
+            let partial = PartialProfile::of_attribute_ctx(
+                db,
+                key.table,
+                key.attr,
+                key.reference_type,
+                &run.checkpoint(),
+            )?;
+            let profile = partial.finalize();
+            Ok((profile, self.retain_partials.then_some(partial)))
         })
     }
 
-    /// [`of_attribute_ctx`](Self::of_attribute_ctx) routed through the
-    /// sharded evaluator: columns eligible under the `EFES_PROFILE_SHARD`
-    /// policy are split into chunks profiled concurrently under `mode`
-    /// and merged (bit-identical to the fused kernel); everything else
-    /// falls back to the fused kernel. On a
-    /// [partial-retaining](Self::retaining_partials) cache the computed
-    /// slot additionally keeps its mergeable partial for the O(delta)
-    /// append path.
+    /// Forwards to [`of_attribute_ctx`](Self::of_attribute_ctx); `mode`
+    /// is ignored. Kept so callers written against the sharded
+    /// evaluator keep compiling.
     pub fn of_attribute_sharded_ctx(
         &self,
         run: &RunContext,
         db: &Database,
         key: ProfileKey,
-        mode: ExecutionMode,
+        _mode: ExecutionMode,
     ) -> Result<Arc<AttributeProfile>, Cancelled> {
-        self.get_or_compute_with_partial_ctx(run, key, || {
-            // `off` is the full escape hatch: no sharding *and* no
-            // partial builds — byte-for-byte the pre-monoid behaviour.
-            if shard::shard_policy() != ShardPolicy::Off && columnar_enabled() {
-                if let Some(col) = db.instance.table(key.table).column_store(key.attr) {
-                    if self.retain_partials {
-                        let partial =
-                            shard::partial_of_column_ctx(col, key.reference_type, run, mode)?;
-                        let profile = partial.finalize();
-                        return Ok((profile, Some(partial)));
-                    }
-                    if shard::should_shard(shard::shard_units(col), mode) {
-                        let partial =
-                            shard::partial_of_column_ctx(col, key.reference_type, run, mode)?;
-                        return Ok((partial.finalize(), None));
-                    }
-                }
-            }
-            let ck = run.checkpoint();
-            let profile = AttributeProfile::of_attribute_ctx(
-                db,
-                key.table,
-                key.attr,
-                key.reference_type,
-                &ck,
-            )?;
-            Ok((profile, None))
-        })
+        self.of_attribute_ctx(run, db, key)
     }
 
     /// Insert a precomputed profile (and optionally its partial)
@@ -580,6 +560,8 @@ mod tests {
         assert_eq!(cache.evictions(), 0);
     }
 
+    /// The `of_attribute_sharded_ctx` forwarder answers exactly like the
+    /// plain lookup, on a partial-retaining cache too.
     #[test]
     fn sharded_lookup_matches_plain_lookup() {
         let db = db();
@@ -603,15 +585,10 @@ mod tests {
         let cache = ProfileCache::new().retaining_partials();
         assert!(cache.retains_partials());
         cache
-            .of_attribute_sharded_ctx(&run, &db, key(0, DataType::Text), ExecutionMode::Sequential)
+            .of_attribute_ctx(&run, &db, key(0, DataType::Text))
             .unwrap();
         cache
-            .of_attribute_sharded_ctx(
-                &run,
-                &db,
-                key(1, DataType::Integer),
-                ExecutionMode::Sequential,
-            )
+            .of_attribute_ctx(&run, &db, key(1, DataType::Integer))
             .unwrap();
         let snapshot = cache.snapshot_partials();
         assert_eq!(snapshot.len(), 2);
@@ -626,7 +603,7 @@ mod tests {
         assert_eq!(successor.len(), 2);
         // Seeded slots answer without recomputing: misses stay 0.
         let seeded = successor
-            .of_attribute_sharded_ctx(&run, &db, key(0, DataType::Text), ExecutionMode::Sequential)
+            .of_attribute_ctx(&run, &db, key(0, DataType::Text))
             .unwrap();
         assert_eq!(
             *seeded,
@@ -642,9 +619,7 @@ mod tests {
         let run = RunContext::unbounded();
         let cache = ProfileCache::new();
         cache.of_attribute_ctx(&run, &db, key(0, DataType::Text)).unwrap();
-        cache
-            .of_attribute_sharded_ctx(&run, &db, key(1, DataType::Integer), ExecutionMode::Sequential)
-            .unwrap();
+        cache.of_attribute_ctx(&run, &db, key(1, DataType::Integer)).unwrap();
         assert!(cache.snapshot_partials().is_empty());
     }
 

@@ -1,66 +1,113 @@
-//! The fused single-pass profiler kernel.
+//! The reducers behind [`PartialProfile::finalize`](crate::PartialProfile::finalize).
 //!
-//! [`AttributeProfile::compute`](crate::AttributeProfile::compute)
-//! historically walked its column once *per statistic* — up to eight full
-//! passes, each re-rendering every value. This module computes all nine
-//! §5.1 statistics in **one** loop over the column: a bank of accumulators
-//! (fill counters, a shared value-count map feeding both constancy and
-//! top-k, a fused pattern/character/length walk for text, a numeric
-//! buffer shared by mean, range and histogram) is fed per cell and
-//! finalised afterwards.
-//!
-//! Two entry points:
-//!
-//! * [`profile_values`] streams over row-major `&Value`s — the drop-in
-//!   replacement for the legacy multi-pass code;
-//! * [`profile_column`] runs variant-specialised loops over a typed
-//!   [`Column`]: integer/float columns read machine words, text columns
-//!   compute the expensive per-string statistics once per *distinct*
-//!   value (weighted by the dictionary counts) instead of once per row.
+//! [`AttributeProfile::compute_multipass`](crate::AttributeProfile::compute_multipass)
+//! walks its column once *per statistic*. The accumulator in
+//! [`crate::partial`] instead gathers everything in one walk — a shared
+//! value-count map feeding both constancy and top-k, a fused
+//! pattern/character/length walk for text ([`TextAcc`]), a row-order
+//! numeric buffer shared by mean, range and histogram — and this module
+//! reduces that state into the nine §5.1 statistics.
 //!
 //! **Bit-identical output is a hard invariant** (the serve byte-match
 //! tests pin it): integer accumulations may be reordered freely, but
 //! every floating-point reduction preserves the exact operation sequence
-//! of the legacy per-statistic code — string lengths and numeric values
-//! are buffered in row order and reduced with the same expressions. The
+//! of the multi-pass code — string lengths and numeric values are
+//! buffered in row order and reduced with the same expressions. The
 //! property tests in `tests/proptests.rs` assert field-for-field
-//! equality against the retained multi-pass reference implementation.
+//! equality against the multi-pass oracle.
+//!
+//! Every reducer borrows the accumulator state, so a partial retained
+//! for O(delta) appends is finalized without copying its buffers; only
+//! the top-k values and the pattern keys are copied out.
 
 use crate::profile::AttributeProfile;
 use crate::stats::{
-    numeric_view, CharHistogram, Constancy, FillStatus, NumericHistogram, NumericMean,
-    StringLength, TextPatterns, TopK, ValueRange,
+    CharHistogram, Constancy, FillStatus, NumericHistogram, NumericMean, StringLength,
+    TextPatterns, TopK, ValueRange,
 };
-use efes_exec::{Cancelled, Checkpoint, RunContext};
-use efes_relational::column::{NullBitmap, NULL_CODE};
-use efes_relational::{Column, DataType, TextColumn, Value};
+use efes_relational::{DataType, Value};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
+
+/// Value counts under `Value`'s Eq/Hash (floats by bit pattern) — the
+/// input of constancy, distinctness and top-k.
+#[derive(Clone, Debug)]
+pub(crate) enum ValueCounts {
+    /// Distinct values with their counts, as a dictionary walk delivers
+    /// them: a cold text profile never builds a map (filling and
+    /// dropping a map of 10⁵ owned strings costs more than everything
+    /// else the walk does).
+    List(Vec<(Value, usize)>),
+    /// Keyed by value, for cell-at-a-time accumulation.
+    Map(HashMap<Value, usize>),
+}
+
+impl Default for ValueCounts {
+    fn default() -> Self {
+        ValueCounts::Map(HashMap::new())
+    }
+}
+
+impl ValueCounts {
+    /// The keyed form, converting a list on first use.
+    pub(crate) fn map(&mut self) -> &mut HashMap<Value, usize> {
+        if let ValueCounts::List(list) = self {
+            *self = ValueCounts::Map(std::mem::take(list).into_iter().collect());
+        }
+        match self {
+            ValueCounts::Map(map) => map,
+            ValueCounts::List(_) => unreachable!("converted above"),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            ValueCounts::List(list) => list.len(),
+            ValueCounts::Map(map) => map.len(),
+        }
+    }
+
+    fn for_each<'a>(&'a self, mut f: impl FnMut(&'a Value, usize)) {
+        match self {
+            ValueCounts::List(list) => list.iter().for_each(|(v, c)| f(v, *c)),
+            ValueCounts::Map(map) => map.iter().for_each(|(v, c)| f(v, *c)),
+        }
+    }
+}
 
 /// Accumulator for the three string statistics (text patterns, character
 /// histogram, string length), fed one rendered value at a time. The
 /// pattern abstraction, the character counts and the character length
 /// are all gathered in a single `chars()` walk.
-///
-/// The accumulator is a monoid: `default()` is the identity and
-/// [`TextAcc::merge`] combines two accumulators built over consecutive
-/// row ranges into the accumulator of the concatenation. The pattern and
-/// character maps merge by integer addition (order-free); the row-order
-/// `lengths` buffer merges by concatenation, which is why merge order
-/// must follow row order.
-#[derive(Default, Clone, Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct TextAcc {
     patterns: HashMap<String, usize>,
-    chars: BTreeMap<char, usize>,
+    /// Character counts: ASCII by code point, everything else in a map.
+    ascii_chars: [usize; 128],
+    other_chars: BTreeMap<char, usize>,
     total_chars: usize,
-    /// Per-row character lengths, in row order. Kept as the legacy code
-    /// kept them so the mean/σ reduction replays identical float ops.
+    /// Per-row character lengths, in row order, so the mean/σ reduction
+    /// replays the multi-pass float ops.
     lengths: Vec<f64>,
     /// Non-null values observed (the `total` of [`TextPatterns`]).
     total: usize,
     /// Scratch for the pattern under construction; allocation only
     /// happens when a *new* distinct pattern is first seen.
     pattern_buf: String,
+}
+
+impl Default for TextAcc {
+    fn default() -> Self {
+        TextAcc {
+            patterns: HashMap::new(),
+            ascii_chars: [0; 128],
+            other_chars: BTreeMap::new(),
+            total_chars: 0,
+            lengths: Vec::new(),
+            total: 0,
+            pattern_buf: String::new(),
+        }
+    }
 }
 
 impl TextAcc {
@@ -70,30 +117,12 @@ impl TextAcc {
         self.lengths.push(len as f64);
     }
 
-    /// Fold `other` (built over the rows immediately following this
-    /// accumulator's rows) into `self`.
-    pub(crate) fn merge(&mut self, other: TextAcc) {
-        self.total += other.total;
-        self.total_chars += other.total_chars;
-        for (pattern, n) in other.patterns {
-            if let Some(slot) = self.patterns.get_mut(pattern.as_str()) {
-                *slot += n;
-            } else {
-                self.patterns.insert(pattern, n);
-            }
-        }
-        for (c, n) in other.chars {
-            *self.chars.entry(c).or_insert(0) += n;
-        }
-        self.lengths.extend(other.lengths);
-    }
-
     /// Pre-size the row-order length buffer for a replay of `n` rows.
     pub(crate) fn reserve_lengths(&mut self, n: usize) {
         self.lengths.reserve(n);
     }
 
-    /// Append one row's character length (the dictionary paths replay
+    /// Append one row's character length (the dictionary path replays
     /// per-row lengths from a per-code table instead of re-walking).
     pub(crate) fn push_length(&mut self, len: f64) {
         self.lengths.push(len);
@@ -102,7 +131,7 @@ impl TextAcc {
     /// Feed one *distinct* value occurring `weight` times; returns its
     /// character length. Per-row lengths are NOT recorded — the caller
     /// (the dictionary path) replays them in row order itself, keeping
-    /// the mean/σ float reductions bit-identical to the legacy code.
+    /// the mean/σ float reductions bit-identical to the multi-pass code.
     pub(crate) fn observe(&mut self, s: &str, weight: usize) -> usize {
         self.total += weight;
         self.pattern_buf.clear();
@@ -110,7 +139,10 @@ impl TextAcc {
         let mut len = 0usize;
         for c in s.chars() {
             len += 1;
-            *self.chars.entry(c).or_insert(0) += weight;
+            match self.ascii_chars.get_mut(c as usize) {
+                Some(n) => *n += weight,
+                None => *self.other_chars.entry(c).or_insert(0) += weight,
+            }
             if c.is_ascii_digit() {
                 if mode != 1 {
                     self.pattern_buf.push_str("<n>");
@@ -135,16 +167,23 @@ impl TextAcc {
         len
     }
 
-    pub(crate) fn finalize(self) -> (TextPatterns, CharHistogram, StringLength) {
-        let mut counts: Vec<(String, usize)> = self.patterns.into_iter().collect();
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    fn finalize(&self) -> (TextPatterns, CharHistogram, StringLength) {
+        let mut counts: Vec<(&str, usize)> = self
+            .patterns
+            .iter()
+            .map(|(p, n)| (p.as_str(), *n))
+            .collect();
+        counts.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         let patterns = TextPatterns {
-            counts,
+            counts: counts.into_iter().map(|(p, n)| (p.to_owned(), n)).collect(),
             total: self.total,
         };
-        let frequencies = self
-            .chars
-            .into_iter()
+        let ascii = (0u8..128)
+            .map(char::from)
+            .zip(self.ascii_chars)
+            .filter(|&(_, n)| n > 0);
+        let frequencies = ascii
+            .chain(self.other_chars.iter().map(|(&c, &n)| (c, n)))
             .map(|(c, n)| (c, n as f64 / self.total_chars.max(1) as f64))
             .collect();
         let histogram = CharHistogram {
@@ -157,7 +196,7 @@ impl TextAcc {
 
 /// Replays `StringLength::compute`'s reduction over pre-gathered row-order
 /// lengths.
-pub(crate) fn string_length_of(lengths: &[f64]) -> StringLength {
+fn string_length_of(lengths: &[f64]) -> StringLength {
     let count = lengths.len();
     if count == 0 {
         return StringLength {
@@ -177,7 +216,7 @@ pub(crate) fn string_length_of(lengths: &[f64]) -> StringLength {
 
 /// Replays the three numeric statistics over pre-gathered row-order
 /// numeric views, with the exact float-op sequences of their `compute`s.
-pub(crate) fn numeric_stats_of(nums: &[f64]) -> (NumericMean, NumericHistogram, ValueRange) {
+fn numeric_stats_of(nums: &[f64]) -> (NumericMean, NumericHistogram, ValueRange) {
     let count = nums.len();
     let mean = if count == 0 {
         NumericMean {
@@ -235,14 +274,17 @@ pub(crate) fn numeric_stats_of(nums: &[f64]) -> (NumericMean, NumericHistogram, 
     (mean, histogram, range)
 }
 
-/// Replays `Constancy::compute`'s entropy reduction over unsorted
-/// per-distinct-value frequencies.
-pub(crate) fn constancy_of(count: usize, mut freqs: Vec<usize>) -> Constancy {
-    let distinct = freqs.len();
+/// Replays `Constancy::compute`'s entropy reduction over the value
+/// counts (summed in ascending frequency order, as the multi-pass code
+/// does).
+fn constancy_of(count: usize, counts: &ValueCounts) -> Constancy {
+    let distinct = counts.len();
     let constancy = if count <= 1 {
         1.0
     } else {
         let n = count as f64;
+        let mut freqs: Vec<usize> = Vec::with_capacity(distinct);
+        counts.for_each(|_, c| freqs.push(c));
         freqs.sort_unstable();
         let entropy: f64 = freqs
             .into_iter()
@@ -261,33 +303,56 @@ pub(crate) fn constancy_of(count: usize, mut freqs: Vec<usize>) -> Constancy {
     }
 }
 
-/// Sorts `(value, count)` pairs the way `TopK::compute` does and keeps
-/// the head.
-pub(crate) fn top_k_of(mut all: Vec<(Value, usize)>, total: usize, k: usize) -> TopK {
-    all.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    all.truncate(k);
-    TopK { values: all, total }
+/// `TopK::compute`'s order: descending count, ties by ascending value.
+/// A strict total order over distinct map keys (`Value`'s `Ord` is total
+/// and agrees with its `Eq`), so selection and a full sort agree.
+fn top_k_order(a: (&Value, usize), b: (&Value, usize)) -> Ordering {
+    b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0))
 }
 
+/// The `k` first entries of `counts` under [`top_k_order`], selected by
+/// bounded insertion over borrowed entries: O(distinct · k) worst case,
+/// and only the `k` winners are cloned.
+fn top_k_of(counts: &ValueCounts, total: usize, k: usize) -> TopK {
+    let mut best: Vec<(&Value, usize)> = Vec::with_capacity(k + 1);
+    counts.for_each(|v, c| {
+        let entry = (v, c);
+        if best.len() == k {
+            match best.last() {
+                Some(&worst) if top_k_order(entry, worst) == Ordering::Less => {}
+                _ => return,
+            }
+        }
+        let at = best.partition_point(|&b| top_k_order(b, entry) == Ordering::Less);
+        best.insert(at, entry);
+        best.truncate(k);
+    });
+    TopK {
+        values: best.into_iter().map(|(v, c)| (v.clone(), c)).collect(),
+        total,
+    }
+}
+
+/// Reduce one attribute's accumulated state into its profile.
 pub(crate) fn assemble(
     reference_type: DataType,
     fill: FillStatus,
-    constancy: Constancy,
-    top_k: TopK,
-    text: Option<TextAcc>,
-    nums: Option<Vec<f64>>,
+    counts: &ValueCounts,
+    text: Option<&TextAcc>,
+    nums: Option<&[f64]>,
 ) -> AttributeProfile {
+    let non_null = fill.total - fill.nulls;
     let mut p = AttributeProfile {
         reference_type,
         fill,
-        constancy,
+        constancy: constancy_of(non_null, counts),
         text_patterns: None,
         char_histogram: None,
         string_length: None,
         mean: None,
         histogram: None,
         range: None,
-        top_k,
+        top_k: top_k_of(counts, non_null, TopK::DEFAULT_K),
     };
     if let Some(acc) = text {
         let (patterns, chars, lengths) = acc.finalize();
@@ -296,7 +361,7 @@ pub(crate) fn assemble(
         p.string_length = Some(lengths);
     }
     if let Some(nums) = nums {
-        let (mean, histogram, range) = numeric_stats_of(&nums);
+        let (mean, histogram, range) = numeric_stats_of(nums);
         p.mean = Some(mean);
         p.histogram = Some(histogram);
         p.range = Some(range);
@@ -304,507 +369,27 @@ pub(crate) fn assemble(
     p
 }
 
-/// Fused single-pass profile over row-major values — all applicable
-/// statistics from one walk of the iterator.
-pub fn profile_values<'a, I>(values: I, reference_type: DataType) -> AttributeProfile
-where
-    I: Iterator<Item = &'a Value>,
-{
-    let ctx = RunContext::unbounded();
-    let ck = ctx.checkpoint();
-    profile_values_ctx(values, reference_type, &ck).expect("unbounded context never cancels")
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// [`profile_values`] with a cancellation [`Checkpoint`] ticked once per
-/// row: the walk aborts with `Err(Cancelled)` within one check interval
-/// of a cancellation request, discarding all accumulator state. The
-/// checkpoint is purely abortive — when it never fires, the output is
-/// identical to [`profile_values`].
-pub fn profile_values_ctx<'a, I>(
-    values: I,
-    reference_type: DataType,
-    ck: &Checkpoint<'_>,
-) -> Result<AttributeProfile, Cancelled>
-where
-    I: Iterator<Item = &'a Value>,
-{
-    let text_designated = reference_type == DataType::Text;
-    let numeric_designated = reference_type.is_numeric();
-
-    let mut total = 0usize;
-    let mut nulls = 0usize;
-    let mut incompatible = 0usize;
-    let mut counts: HashMap<&Value, usize> = HashMap::new();
-    let mut text = text_designated.then(TextAcc::default);
-    let mut nums = numeric_designated.then(Vec::new);
-    let mut render_buf = String::new();
-
-    for v in values {
-        ck.tick()?;
-        total += 1;
-        if v.is_null() {
-            nulls += 1;
-            continue;
-        }
-        if reference_type.try_cast(v).is_none() {
-            incompatible += 1;
-        }
-        *counts.entry(v).or_insert(0) += 1;
-        if let Some(acc) = &mut text {
-            // Render exactly once (the legacy passes rendered three
-            // times); text payloads are borrowed, everything else goes
-            // through a reused scratch buffer with `Value::render`'s
-            // exact formatting.
-            let s: &str = match v {
-                Value::Text(s) => s,
-                Value::Int(i) => {
-                    render_buf.clear();
-                    write!(render_buf, "{i}").expect("write to String");
-                    &render_buf
-                }
-                Value::Float(f) => {
-                    render_buf.clear();
-                    write!(render_buf, "{f}").expect("write to String");
-                    &render_buf
-                }
-                Value::Bool(b) => {
-                    if *b {
-                        "true"
-                    } else {
-                        "false"
-                    }
-                }
-                Value::Null => unreachable!(),
-            };
-            acc.add_row(s);
-        } else if let Some(nums) = &mut nums {
-            if let Some(x) = numeric_view(v) {
-                nums.push(x);
-            }
+    /// Selection must return exactly what the full sort + truncate of
+    /// `TopK::compute` returns, including ties at the cut.
+    #[test]
+    fn top_k_selection_matches_full_sort() {
+        let mut list: Vec<(Value, usize)> = (0..200i64)
+            .map(|i| (Value::Int(i), (i as usize * 7) % 5))
+            .collect();
+        list.push((Value::Text("z".into()), 4));
+        list.push((Value::Float(3.0), 4));
+        let mut sorted = list.clone();
+        sorted.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let as_list = ValueCounts::List(list.clone());
+        let as_map = ValueCounts::Map(list.into_iter().collect());
+        for k in [0usize, 1, 3, 10, 300] {
+            let expect: Vec<(Value, usize)> = sorted.iter().take(k).cloned().collect();
+            assert_eq!(top_k_of(&as_list, 999, k).values, expect, "list, k={k}");
+            assert_eq!(top_k_of(&as_map, 999, k).values, expect, "map, k={k}");
         }
     }
-
-    let non_null = total - nulls;
-    let freqs: Vec<usize> = counts.values().copied().collect();
-    let top: Vec<(Value, usize)> = counts.into_iter().map(|(v, c)| (v.clone(), c)).collect();
-    Ok(assemble(
-        reference_type,
-        FillStatus {
-            total,
-            nulls,
-            incompatible,
-        },
-        constancy_of(non_null, freqs),
-        top_k_of(top, non_null, TopK::DEFAULT_K),
-        text,
-        nums,
-    ))
-}
-
-/// Fused single-pass profile over a typed [`Column`], with
-/// variant-specialised loops.
-pub fn profile_column(col: &Column, reference_type: DataType) -> AttributeProfile {
-    let ctx = RunContext::unbounded();
-    let ck = ctx.checkpoint();
-    profile_column_ctx(col, reference_type, &ck).expect("unbounded context never cancels")
-}
-
-/// [`profile_column`] with a cancellation [`Checkpoint`] ticked once per
-/// cell (per distinct value on the dictionary fast path); see
-/// [`profile_values_ctx`] for the abort semantics.
-pub fn profile_column_ctx(
-    col: &Column,
-    reference_type: DataType,
-    ck: &Checkpoint<'_>,
-) -> Result<AttributeProfile, Cancelled> {
-    match col {
-        Column::Mixed(values) => profile_values_ctx(values.iter(), reference_type, ck),
-        Column::Text(tc) => profile_text_column(tc, reference_type, ck),
-        Column::Int { values, nulls } => {
-            if reference_type == DataType::Text {
-                profile_primitive_column(reference_type, values.len(), nulls.count(), ck, || {
-                    values
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| !nulls.is_null(*i))
-                        .map(|(_, v)| PrimCell::Int(*v))
-                })
-            } else {
-                profile_int_column(values, nulls, reference_type, ck)
-            }
-        }
-        Column::Float { values, nulls } => {
-            if reference_type == DataType::Text {
-                profile_primitive_column(reference_type, values.len(), nulls.count(), ck, || {
-                    values
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| !nulls.is_null(*i))
-                        .map(|(_, v)| PrimCell::Float(*v))
-                })
-            } else {
-                profile_float_column(values, nulls, reference_type, ck)
-            }
-        }
-        Column::Bool { values, nulls } => {
-            profile_primitive_column(reference_type, values.len(), nulls.count(), ck, || {
-                values
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !nulls.is_null(*i))
-                    .map(|(_, v)| PrimCell::Bool(*v))
-            })
-        }
-    }
-}
-
-/// A non-null primitive cell: the three fixed-width variants share one
-/// specialised loop (the compiler monomorphises per closure anyway, and
-/// the match below folds to the single live arm per column type).
-#[derive(Clone, Copy)]
-enum PrimCell {
-    Int(i64),
-    Float(f64),
-    Bool(bool),
-}
-
-impl PrimCell {
-    fn to_value(self) -> Value {
-        match self {
-            PrimCell::Int(i) => Value::Int(i),
-            PrimCell::Float(f) => Value::Float(f),
-            PrimCell::Bool(b) => Value::Bool(b),
-        }
-    }
-
-    /// Hashable identity matching `Value`'s Eq/Hash (floats by bits).
-    fn key(self) -> (u8, u64) {
-        match self {
-            PrimCell::Int(i) => (0, i as u64),
-            PrimCell::Float(f) => (1, f.to_bits()),
-            PrimCell::Bool(b) => (2, b as u64),
-        }
-    }
-
-    fn incompatible_with(self, rt: DataType) -> bool {
-        match (rt, self) {
-            (DataType::Boolean, PrimCell::Int(i)) => i != 0 && i != 1,
-            (DataType::Boolean, PrimCell::Float(_)) => true,
-            (DataType::Integer, PrimCell::Float(f)) => {
-                !(f.fract() == 0.0 && f.is_finite() && f >= i64::MIN as f64 && f <= i64::MAX as f64)
-            }
-            // Ints cast to every type's numeric/text forms; bools cast
-            // everywhere; everything casts to Text and Float-from-Int.
-            _ => false,
-        }
-    }
-}
-
-fn profile_primitive_column<I>(
-    reference_type: DataType,
-    total: usize,
-    nulls: usize,
-    ck: &Checkpoint<'_>,
-    cells: impl Fn() -> I,
-) -> Result<AttributeProfile, Cancelled>
-where
-    I: Iterator<Item = PrimCell>,
-{
-    let text_designated = reference_type == DataType::Text;
-    let numeric_designated = reference_type.is_numeric();
-
-    let mut incompatible = 0usize;
-    let mut counts: HashMap<(u8, u64), (PrimCell, usize)> = HashMap::new();
-    let mut text = text_designated.then(TextAcc::default);
-    let mut nums = numeric_designated.then(Vec::new);
-    let mut render_buf = String::new();
-
-    for cell in cells() {
-        ck.tick()?;
-        if cell.incompatible_with(reference_type) {
-            incompatible += 1;
-        }
-        counts.entry(cell.key()).or_insert((cell, 0)).1 += 1;
-        if let Some(acc) = &mut text {
-            let s: &str = match cell {
-                PrimCell::Int(i) => {
-                    render_buf.clear();
-                    write!(render_buf, "{i}").expect("write to String");
-                    &render_buf
-                }
-                PrimCell::Float(f) => {
-                    render_buf.clear();
-                    write!(render_buf, "{f}").expect("write to String");
-                    &render_buf
-                }
-                PrimCell::Bool(b) => {
-                    if b {
-                        "true"
-                    } else {
-                        "false"
-                    }
-                }
-            };
-            acc.add_row(s);
-        } else if let Some(nums) = &mut nums {
-            match cell {
-                PrimCell::Int(i) => nums.push(i as f64),
-                PrimCell::Float(f) => nums.push(f),
-                // `numeric_view` has no numeric reading of booleans.
-                PrimCell::Bool(_) => {}
-            }
-        }
-    }
-
-    let non_null = total - nulls;
-    let freqs: Vec<usize> = counts.values().map(|(_, c)| *c).collect();
-    let top: Vec<(Value, usize)> = counts
-        .into_values()
-        .map(|(cell, c)| (cell.to_value(), c))
-        .collect();
-    Ok(assemble(
-        reference_type,
-        FillStatus {
-            total,
-            nulls,
-            incompatible,
-        },
-        constancy_of(non_null, freqs),
-        top_k_of(top, non_null, TopK::DEFAULT_K),
-        text,
-        nums,
-    ))
-}
-
-/// Typed fast path for integer columns under a non-text reference type:
-/// a straight machine-word loop over `Vec<i64>` with `i64`-keyed value
-/// counts — no per-cell enum construction, no bitmap probe when the
-/// column has no nulls. Output is bit-identical to
-/// [`profile_primitive_column`]: the count map groups the same cells and
-/// every float lands in the row-order buffer in the same sequence.
-fn profile_int_column(
-    values: &[i64],
-    nulls: &NullBitmap,
-    reference_type: DataType,
-    ck: &Checkpoint<'_>,
-) -> Result<AttributeProfile, Cancelled> {
-    debug_assert_ne!(reference_type, DataType::Text);
-    let total = values.len();
-    let null_count = nulls.count();
-    let non_null = total - null_count;
-    let boolean_rt = reference_type == DataType::Boolean;
-
-    let mut incompatible = 0usize;
-    let mut counts: HashMap<i64, usize> = HashMap::new();
-    let mut nums = reference_type
-        .is_numeric()
-        .then(|| Vec::with_capacity(non_null));
-
-    if null_count == 0 {
-        for &v in values {
-            ck.tick()?;
-            if boolean_rt && v != 0 && v != 1 {
-                incompatible += 1;
-            }
-            *counts.entry(v).or_insert(0) += 1;
-            if let Some(nums) = &mut nums {
-                nums.push(v as f64);
-            }
-        }
-    } else {
-        for (i, &v) in values.iter().enumerate() {
-            ck.tick()?;
-            if nulls.is_null(i) {
-                continue;
-            }
-            if boolean_rt && v != 0 && v != 1 {
-                incompatible += 1;
-            }
-            *counts.entry(v).or_insert(0) += 1;
-            if let Some(nums) = &mut nums {
-                nums.push(v as f64);
-            }
-        }
-    }
-
-    let freqs: Vec<usize> = counts.values().copied().collect();
-    let top: Vec<(Value, usize)> = counts
-        .into_iter()
-        .map(|(v, c)| (Value::Int(v), c))
-        .collect();
-    Ok(assemble(
-        reference_type,
-        FillStatus {
-            total,
-            nulls: null_count,
-            incompatible,
-        },
-        constancy_of(non_null, freqs),
-        top_k_of(top, non_null, TopK::DEFAULT_K),
-        None,
-        nums,
-    ))
-}
-
-/// Typed fast path for float columns under a non-text reference type;
-/// counts are keyed by the IEEE bit pattern, matching `Value`'s Eq/Hash.
-/// See [`profile_int_column`] for the bit-identity argument.
-fn profile_float_column(
-    values: &[f64],
-    nulls: &NullBitmap,
-    reference_type: DataType,
-    ck: &Checkpoint<'_>,
-) -> Result<AttributeProfile, Cancelled> {
-    debug_assert_ne!(reference_type, DataType::Text);
-    let total = values.len();
-    let null_count = nulls.count();
-    let non_null = total - null_count;
-    let boolean_rt = reference_type == DataType::Boolean;
-    let integer_rt = reference_type == DataType::Integer;
-
-    let mut incompatible = 0usize;
-    let mut counts: HashMap<u64, (f64, usize)> = HashMap::new();
-    let mut nums = reference_type
-        .is_numeric()
-        .then(|| Vec::with_capacity(non_null));
-
-    // One closure per cell keeps the null/no-null loops in sync.
-    let mut visit = |v: f64| {
-        if boolean_rt
-            || (integer_rt
-                && !(v.fract() == 0.0
-                    && v.is_finite()
-                    && v >= i64::MIN as f64
-                    && v <= i64::MAX as f64))
-        {
-            incompatible += 1;
-        }
-        counts.entry(v.to_bits()).or_insert((v, 0)).1 += 1;
-        if let Some(nums) = &mut nums {
-            nums.push(v);
-        }
-    };
-    if null_count == 0 {
-        for &v in values {
-            ck.tick()?;
-            visit(v);
-        }
-    } else {
-        for (i, &v) in values.iter().enumerate() {
-            ck.tick()?;
-            if !nulls.is_null(i) {
-                visit(v);
-            }
-        }
-    }
-
-    let freqs: Vec<usize> = counts.values().map(|(_, c)| *c).collect();
-    let top: Vec<(Value, usize)> = counts
-        .into_values()
-        .map(|(v, c)| (Value::Float(v), c))
-        .collect();
-    Ok(assemble(
-        reference_type,
-        FillStatus {
-            total,
-            nulls: null_count,
-            incompatible,
-        },
-        constancy_of(non_null, freqs),
-        top_k_of(top, non_null, TopK::DEFAULT_K),
-        None,
-        nums,
-    ))
-}
-
-/// The dictionary-encoded fast path: per-string work (pattern
-/// abstraction, character walks, cast checks, numeric parses) happens
-/// once per *distinct* value and is weighted by its occurrence count;
-/// only the order-sensitive float buffers are filled per row, via a
-/// precomputed per-code lookup.
-fn profile_text_column(
-    tc: &TextColumn,
-    reference_type: DataType,
-    ck: &Checkpoint<'_>,
-) -> Result<AttributeProfile, Cancelled> {
-    let total = tc.len();
-    let nulls = tc.null_count();
-    let non_null = total - nulls;
-    let counts = tc.dict_counts();
-
-    let mut incompatible = 0usize;
-    let mut text = (reference_type == DataType::Text).then(TextAcc::default);
-    let mut nums = None;
-
-    match &mut text {
-        Some(acc) => {
-            // Text reference: every string casts; fuse pattern/char/length
-            // per distinct value, then replay per-row lengths in order.
-            let mut char_lens: Vec<f64> = Vec::with_capacity(tc.dict_len());
-            for (code, s) in tc.dict_iter().enumerate() {
-                ck.tick()?;
-                let len = acc.observe(s, counts[code]);
-                char_lens.push(len as f64);
-            }
-            acc.lengths.reserve(non_null);
-            for &code in tc.codes() {
-                ck.tick()?;
-                if code != NULL_CODE {
-                    acc.lengths.push(char_lens[code as usize]);
-                }
-            }
-        }
-        None => {
-            if reference_type.is_numeric() {
-                // Parse each distinct string once; the row-order numeric
-                // buffer replays the cached parses.
-                let parsed: Vec<Option<f64>> = tc
-                    .dict_iter()
-                    .map(|s| s.trim().parse::<f64>().ok())
-                    .collect();
-                for (code, s) in tc.dict_iter().enumerate() {
-                    ck.tick()?;
-                    if !reference_type.casts_text(s) {
-                        incompatible += counts[code];
-                    }
-                }
-                let mut buf = Vec::with_capacity(non_null);
-                for &code in tc.codes() {
-                    ck.tick()?;
-                    if code != NULL_CODE {
-                        if let Some(x) = parsed[code as usize] {
-                            buf.push(x);
-                        }
-                    }
-                }
-                nums = Some(buf);
-            } else {
-                // Boolean reference: only the cast check is type-specific.
-                for (code, s) in tc.dict_iter().enumerate() {
-                    ck.tick()?;
-                    if !reference_type.casts_text(s) {
-                        incompatible += counts[code];
-                    }
-                }
-            }
-        }
-    }
-
-    let top: Vec<(Value, usize)> = tc
-        .dict_iter()
-        .enumerate()
-        .map(|(code, s)| (Value::Text(s.to_owned()), counts[code]))
-        .collect();
-    Ok(assemble(
-        reference_type,
-        FillStatus {
-            total,
-            nulls,
-            incompatible,
-        },
-        constancy_of(non_null, counts.to_vec()),
-        top_k_of(top, non_null, TopK::DEFAULT_K),
-        text,
-        nums,
-    ))
 }

@@ -23,15 +23,13 @@
 
 pub mod cache;
 pub mod discovery;
-pub mod kernel;
-pub mod monoid;
+mod kernel;
+pub mod partial;
 pub mod profile;
-pub mod shard;
 pub mod stats;
 
 pub use cache::{DbTag, ProfileCache, ProfileKey};
-pub use monoid::PartialProfile;
-pub use shard::{shard_counters, ShardPolicy, PROFILE_SHARD_ENV_VAR};
+pub use partial::PartialProfile;
 pub use discovery::{
     discover_constraints, discover_constraints_with, DiscoveryOptions, InclusionDependency,
 };

@@ -1,13 +1,13 @@
 //! Attribute profiles: all statistics of one column, plus the
 //! importance-weighted fit combination of §5.1.
 
-use crate::kernel;
+use crate::partial::PartialProfile;
 use crate::stats::{
     CharHistogram, Constancy, FillStatus, NumericHistogram, NumericMean, StringLength,
     TextPatterns, TopK, ValueRange,
 };
 use efes_relational::schema::{AttrId, TableId};
-use efes_relational::{columnar_enabled, Column, DataType, Database, Value};
+use efes_relational::{Column, DataType, Database, Value, ValueRef};
 use serde::{Deserialize, Serialize};
 
 /// One statistic's contribution to the overall fit.
@@ -82,22 +82,26 @@ pub struct AttributeProfile {
 impl AttributeProfile {
     /// Profile a column (an iterator of values) against `reference_type`.
     ///
-    /// Computed by the fused single-pass kernel — one walk of the
-    /// iterator feeds every applicable statistic. The output is
-    /// bit-identical to the retained multi-pass reference,
+    /// Feeds every value through one [`PartialProfile`] accumulator —
+    /// one walk serves every applicable statistic. The output is
+    /// bit-identical to the multi-pass oracle,
     /// [`AttributeProfile::compute_multipass`] (the property tests in
     /// this crate compare them field for field).
     pub fn compute<'a, I>(values: I, reference_type: DataType) -> Self
     where
         I: IntoIterator<Item = &'a Value>,
     {
-        kernel::profile_values(values.into_iter(), reference_type)
+        let mut partial = PartialProfile::new(reference_type);
+        for v in values {
+            partial.accumulate(ValueRef::of(v));
+        }
+        partial.finalize()
     }
 
-    /// The legacy multi-pass implementation: one full walk of the column
-    /// per statistic, exactly as each statistic's own `compute` defines
-    /// it. Retained as the executable specification the fused kernel is
-    /// differentially tested (and benchmarked) against.
+    /// The multi-pass oracle: one full walk of the column per statistic,
+    /// exactly as each statistic's own `compute` defines it. The
+    /// executable specification the accumulator is differentially tested
+    /// (and benchmarked) against; no production path calls it.
     pub fn compute_multipass<'a, I>(values: I, reference_type: DataType) -> Self
     where
         I: IntoIterator<Item = &'a Value>,
@@ -138,19 +142,18 @@ impl AttributeProfile {
         p
     }
 
-    /// Profile a typed [`Column`] directly, using the kernel's
-    /// variant-specialised loops (dictionary-weighted statistics for
-    /// text columns, machine-word loops for numeric ones).
+    /// Profile a typed [`Column`] directly through
+    /// [`PartialProfile::of_column_ctx`] (dictionary-weighted statistics
+    /// for text columns, machine-word loops for numeric ones).
     pub fn compute_columnar(column: &Column, reference_type: DataType) -> Self {
-        kernel::profile_column(column, reference_type)
+        let run = efes_exec::RunContext::unbounded();
+        PartialProfile::of_column_ctx(column, reference_type, &run.checkpoint())
+            .expect("unbounded context never cancels")
+            .finalize()
     }
 
-    /// Profile a concrete attribute of a database.
-    ///
-    /// When columnar storage is enabled (the default — see
-    /// [`efes_relational::COLUMNAR_ENV_VAR`]) this profiles the typed
-    /// column store; with `EFES_COLUMNAR=off` it falls back to the
-    /// legacy multi-pass walk over the row-major rows.
+    /// Profile a concrete attribute of a database from its typed column
+    /// store.
     pub fn of_attribute(
         db: &Database,
         table: TableId,
@@ -165,9 +168,7 @@ impl AttributeProfile {
 
     /// [`of_attribute`](Self::of_attribute) with a cancellation
     /// [`Checkpoint`](efes_exec::Checkpoint) ticked once per cell, so a
-    /// cancelled run aborts the walk within one check interval. The
-    /// legacy multi-pass fallback (`EFES_COLUMNAR=off`) only checks at
-    /// entry — it is an escape hatch, not a serving path.
+    /// cancelled run aborts the walk within one check interval.
     pub fn of_attribute_ctx(
         db: &Database,
         table: TableId,
@@ -175,17 +176,7 @@ impl AttributeProfile {
         reference_type: DataType,
         ck: &efes_exec::Checkpoint<'_>,
     ) -> Result<Self, efes_exec::Cancelled> {
-        let data = db.instance.table(table);
-        if columnar_enabled() {
-            match data.column_store(attr) {
-                Some(col) => kernel::profile_column_ctx(col, reference_type, ck),
-                None => Ok(Self::compute(std::iter::empty(), reference_type)),
-            }
-        } else {
-            ck.check_now()?;
-            let column: Vec<&Value> = data.rows().iter().map(|row| &row[attr.0]).collect();
-            Ok(Self::compute_multipass(column.iter().copied(), reference_type))
-        }
+        Ok(PartialProfile::of_attribute_ctx(db, table, attr, reference_type, ck)?.finalize())
     }
 
     /// The `domainRestricted` predicate of Algorithm 1.

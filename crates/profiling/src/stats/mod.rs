@@ -34,8 +34,6 @@ pub use string_length::StringLength;
 pub use text_pattern::{pattern_of, TextPatterns};
 pub use top_k::TopK;
 
-pub(crate) use numeric::numeric_view;
-
 /// Clamp a float into `[0,1]`, mapping NaN to 0.
 pub(crate) fn unit(x: f64) -> f64 {
     if x.is_nan() {

@@ -4,9 +4,9 @@
 //! scores stay in [0,1], self-fit of any column is ≥ the domain-difference
 //! threshold (0.9), and fill ratios behave monotonically.
 
-use efes_exec::{ExecutionMode, RunContext};
+use efes_exec::RunContext;
 use efes_profiling::stats::*;
-use efes_profiling::{kernel, shard, AttributeProfile, DbTag, PartialProfile, ProfileCache, ProfileKey};
+use efes_profiling::{AttributeProfile, DbTag, PartialProfile, ProfileCache, ProfileKey};
 use efes_relational::schema::{AttrId, TableId};
 use efes_relational::{Column, DataType, DatabaseBuilder, Value};
 use proptest::prelude::*;
@@ -176,21 +176,22 @@ proptest! {
         prop_assert_eq!(ValueRange::fit(&r, &r), 1.0);
     }
 
-    /// The fused single-pass kernel is bit-identical to the retained
-    /// multi-pass reference, field for field, for any value mix and any
-    /// designating datatype. Exact `==` (not approximate): the kernel
-    /// preserves the legacy float operation sequences.
+    /// The single-pass kernel — `compute` feeds every value through one
+    /// `PartialProfile` accumulator — is bit-identical to the multi-pass
+    /// oracle, field for field, for any value mix and any designating
+    /// datatype. Exact `==` (not approximate): the accumulator preserves
+    /// the multi-pass float operation sequences.
     #[test]
     fn fused_kernel_matches_multipass(col in arb_column_with_floats()) {
         for dt in [DataType::Text, DataType::Integer, DataType::Float, DataType::Boolean] {
-            let fused = AttributeProfile::compute(col.iter(), dt);
+            let accumulated = AttributeProfile::compute(col.iter(), dt);
             let legacy = AttributeProfile::compute_multipass(col.iter(), dt);
-            prop_assert_eq!(&fused, &legacy, "fused != multipass for {:?}", dt);
+            prop_assert_eq!(&accumulated, &legacy, "accumulator != multipass for {:?}", dt);
         }
     }
 
-    /// The columnar kernel (variant-specialised loops over the typed
-    /// column store, dictionary-weighted for text) produces exactly the
+    /// The accumulator over the typed column store (machine-word loops
+    /// for numbers, dictionary-weighted for text) produces exactly the
     /// profile the multi-pass walk over the row-major rows produces —
     /// the end-to-end guarantee behind `of_attribute`.
     #[test]
@@ -244,11 +245,11 @@ proptest! {
         prop_assert_eq!(cache.len(), 4);
     }
 
-    /// Monoid law: chunk-split invariance. Accumulating a column as any
-    /// sequence of contiguous ranges and merging the partials finalizes
-    /// to exactly (`==`, not approximately) the fused kernel's profile.
-    /// This is the invariant that makes sharded profiling and O(delta)
-    /// appends bit-identical to cold profiling.
+    /// Chunk-split invariance: feeding a column to one partial as any
+    /// sequence of consecutive `accumulate_range` calls finalizes to
+    /// exactly (`==`, not approximately) one cold `of_column_ctx` build.
+    /// This is the invariant that makes O(delta) appends bit-identical
+    /// to cold profiling.
     #[test]
     fn partial_profiles_are_chunk_split_invariant(
         (col, _declared) in arb_admitted_column(),
@@ -262,64 +263,20 @@ proptest! {
         splits.push(column.len());
         splits.sort_unstable();
         for dt in [DataType::Text, DataType::Integer, DataType::Float, DataType::Boolean] {
-            let mut merged = PartialProfile::new(dt);
+            let mut chunked = PartialProfile::new(dt);
             for pair in splits.windows(2) {
-                let mut part = PartialProfile::new(dt);
-                part.accumulate_range(&column, pair[0], pair[1], &ck).unwrap();
-                merged.merge(part);
+                chunked.accumulate_range(&column, pair[0], pair[1], &ck).unwrap();
             }
-            let fused = kernel::profile_column(&column, dt);
-            prop_assert_eq!(&merged.finalize(), &fused, "split {:?} != fused for {:?}", &splits, dt);
-        }
-    }
-
-    /// Monoid laws: merge is associative and `PartialProfile::new` is a
-    /// two-sided identity, observed through `finalize` (exact `==`).
-    #[test]
-    fn partial_profile_merge_is_associative_with_identity(
-        (col, _declared) in arb_admitted_column(),
-        cut_a in 0.0f64..1.0,
-        cut_b in 0.0f64..1.0,
-    ) {
-        let column = Column::from_cells(col);
-        let run = RunContext::unbounded();
-        let ck = run.checkpoint();
-        let n = column.len();
-        let (mut i, mut j) = ((cut_a * n as f64) as usize, (cut_b * n as f64) as usize);
-        if i > j {
-            std::mem::swap(&mut i, &mut j);
-        }
-        for dt in [DataType::Text, DataType::Integer, DataType::Float, DataType::Boolean] {
-            let part = |lo: usize, hi: usize| {
-                let mut p = PartialProfile::new(dt);
-                p.accumulate_range(&column, lo, hi, &ck).unwrap();
-                p
-            };
-            // (a . b) . c
-            let mut left = part(0, i);
-            left.merge(part(i, j));
-            left.merge(part(j, n));
-            // a . (b . c)
-            let mut bc = part(i, j);
-            bc.merge(part(j, n));
-            let mut right = part(0, i);
-            right.merge(bc);
-            prop_assert_eq!(&left.finalize(), &right.finalize(), "associativity for {:?}", dt);
-            // identity . x == x == x . identity
-            let mut id_x = PartialProfile::new(dt);
-            id_x.merge(part(0, n));
-            let mut x_id = part(0, n);
-            x_id.merge(PartialProfile::new(dt));
-            let whole = part(0, n).finalize();
-            prop_assert_eq!(&id_x.finalize(), &whole, "left identity for {:?}", dt);
-            prop_assert_eq!(&x_id.finalize(), &whole, "right identity for {:?}", dt);
+            let cold = PartialProfile::of_column_ctx(&column, dt, &ck).unwrap();
+            prop_assert_eq!(chunked.rows_seen(), column.len());
+            prop_assert_eq!(&chunked.finalize(), &cold.finalize(), "split {:?} != cold for {:?}", &splits, dt);
         }
     }
 
     /// The delta-append path: a partial built over a prefix column that
     /// then absorbs the appended tail from the *extended* column equals
-    /// the fused kernel over the whole extended column. Exactly what the
-    /// server replays on an extension upload.
+    /// a cold profile of the whole extended column, and the multi-pass
+    /// oracle. Exactly what the server replays on an extension upload.
     #[test]
     fn prefix_partial_plus_tail_equals_cold_profile(
         (col, _declared) in arb_admitted_column(),
@@ -327,32 +284,17 @@ proptest! {
     ) {
         let split = (cut * col.len() as f64) as usize;
         let prefix = Column::from_cells(col[..split].to_vec());
-        let full = Column::from_cells(col);
+        let full = Column::from_cells(col.clone());
         let run = RunContext::unbounded();
         let ck = run.checkpoint();
         for dt in [DataType::Text, DataType::Integer, DataType::Float, DataType::Boolean] {
             let mut partial = PartialProfile::of_column_ctx(&prefix, dt, &ck).unwrap();
             partial.accumulate_range(&full, split, full.len(), &ck).unwrap();
-            let cold = kernel::profile_column(&full, dt);
-            prop_assert_eq!(&partial.finalize(), &cold, "delta != cold for {:?} at {}", dt, split);
-        }
-    }
-
-    /// The sharded evaluator is bit-identical to the fused kernel for
-    /// every thread count, column shape and reference type.
-    #[test]
-    fn sharded_profile_matches_fused_for_any_thread_count(
-        (col, _declared) in arb_admitted_column(),
-    ) {
-        let column = Column::from_cells(col);
-        let run = RunContext::unbounded();
-        for threads in [1usize, 2, 3, 8] {
-            let mode = ExecutionMode::with_threads(threads);
-            for dt in [DataType::Text, DataType::Integer, DataType::Float, DataType::Boolean] {
-                let sharded = shard::profile_column_sharded_with(&column, dt, &run, mode).unwrap();
-                let fused = kernel::profile_column(&column, dt);
-                prop_assert_eq!(&sharded, &fused, "sharded({}) != fused for {:?}", threads, dt);
-            }
+            let delta = partial.finalize();
+            let cold = AttributeProfile::compute_columnar(&full, dt);
+            prop_assert_eq!(&delta, &cold, "delta != cold for {:?} at {}", dt, split);
+            let oracle = AttributeProfile::compute_multipass(col.iter(), dt);
+            prop_assert_eq!(&delta, &oracle, "delta != multipass for {:?} at {}", dt, split);
         }
     }
 }

@@ -22,54 +22,10 @@
 //!
 //! Cells read back as [`ValueRef`]s — borrowed, `Copy` views that
 //! reproduce [`Value`] semantics without materialising owned values.
-//!
-//! The `EFES_COLUMNAR` environment variable is an escape hatch: set it
-//! to `off` (or `0`/`false`/`no`) to keep every consumer on the
-//! row-major path. Unparsable values warn once on stderr and leave the
-//! columnar path enabled, mirroring the `EFES_THREADS` behaviour of the
-//! execution layer.
 
 use crate::instance::Row;
 use crate::value::Value;
 use std::collections::HashMap;
-use std::sync::Once;
-
-/// Environment variable gating the columnar storage path. `off`, `0`,
-/// `false` and `no` (case-insensitive) disable it; `on`, `1`, `true`,
-/// `yes` or unset enable it; anything else warns once and enables it.
-pub const COLUMNAR_ENV_VAR: &str = "EFES_COLUMNAR";
-
-/// Whether the columnar path is enabled (see [`COLUMNAR_ENV_VAR`]).
-///
-/// Read per call so tests and operators can flip the knob at run time;
-/// the cost is per *column*, never per value.
-pub fn columnar_enabled() -> bool {
-    match std::env::var(COLUMNAR_ENV_VAR) {
-        Err(_) => true,
-        Ok(raw) => match parse_columnar(&raw) {
-            Some(enabled) => enabled,
-            None => {
-                static WARN_ONCE: Once = Once::new();
-                WARN_ONCE.call_once(|| {
-                    eprintln!(
-                        "warning: unparsable {COLUMNAR_ENV_VAR}={raw:?}; \
-                         expected on/off (or 1/0, true/false, yes/no), keeping columnar storage on"
-                    );
-                });
-                true
-            }
-        },
-    }
-}
-
-/// Parse an `EFES_COLUMNAR` value; `None` means unparsable.
-pub fn parse_columnar(raw: &str) -> Option<bool> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "on" | "1" | "true" | "yes" | "" => Some(true),
-        "off" | "0" | "false" | "no" => Some(false),
-        _ => None,
-    }
-}
 
 /// A borrowed, `Copy` view of one cell.
 ///
@@ -526,9 +482,7 @@ impl Column {
 
     /// Iterate all cells in row order.
     pub fn iter(&self) -> ColumnIter<'_> {
-        ColumnIter {
-            inner: ColumnIterInner::Column { col: self, i: 0 },
-        }
+        ColumnIter { col: self, i: 0 }
     }
 
     /// Distinct non-null values in first-seen order — the columnar
@@ -934,56 +888,26 @@ impl ColumnBuilder {
 }
 
 /// Iterator over one column's cells, yielding [`ValueRef`]s in row order.
-///
-/// Backed either by a typed [`Column`] or, when columnar storage is
-/// disabled, directly by the row-major rows — the two backings yield
-/// identical sequences.
 #[derive(Debug, Clone)]
 pub struct ColumnIter<'a> {
-    inner: ColumnIterInner<'a>,
-}
-
-#[derive(Debug, Clone)]
-enum ColumnIterInner<'a> {
-    Column { col: &'a Column, i: usize },
-    Rows { rows: &'a [Row], attr: usize, i: usize },
-}
-
-impl<'a> ColumnIter<'a> {
-    /// Iterate column `attr` straight off the row-major rows.
-    pub fn over_rows(rows: &'a [Row], attr: usize) -> Self {
-        ColumnIter {
-            inner: ColumnIterInner::Rows { rows, attr, i: 0 },
-        }
-    }
+    col: &'a Column,
+    i: usize,
 }
 
 impl<'a> Iterator for ColumnIter<'a> {
     type Item = ValueRef<'a>;
 
     fn next(&mut self) -> Option<ValueRef<'a>> {
-        match &mut self.inner {
-            ColumnIterInner::Column { col, i } => {
-                if *i >= col.len() {
-                    return None;
-                }
-                let v = col.value(*i);
-                *i += 1;
-                Some(v)
-            }
-            ColumnIterInner::Rows { rows, attr, i } => {
-                let row = rows.get(*i)?;
-                *i += 1;
-                Some(ValueRef::of(&row[*attr]))
-            }
+        if self.i >= self.col.len() {
+            return None;
         }
+        let v = self.col.value(self.i);
+        self.i += 1;
+        Some(v)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = match &self.inner {
-            ColumnIterInner::Column { col, i } => col.len() - i,
-            ColumnIterInner::Rows { rows, i, .. } => rows.len() - i,
-        };
+        let remaining = self.col.len() - self.i;
         (remaining, Some(remaining))
     }
 }
@@ -1071,14 +995,6 @@ mod tests {
         assert_eq!(b.count(), 3);
         assert!(b.is_null(0) && b.is_null(64) && b.is_null(129));
         assert!(!b.is_null(1) && !b.is_null(128));
-    }
-
-    #[test]
-    fn columnar_env_parses() {
-        assert_eq!(parse_columnar("on"), Some(true));
-        assert_eq!(parse_columnar("OFF"), Some(false));
-        assert_eq!(parse_columnar(" 0 "), Some(false));
-        assert_eq!(parse_columnar("bogus"), None);
     }
 
     #[test]
@@ -1239,7 +1155,7 @@ mod tests {
         let r = rows(vec![Value::Text("x".into()), Value::Null, Value::Text("y".into())]);
         let c = Column::build(&r, 0);
         let a: Vec<Value> = c.iter().map(ValueRef::to_value).collect();
-        let b: Vec<Value> = ColumnIter::over_rows(&r, 0).map(ValueRef::to_value).collect();
+        let b: Vec<Value> = r.iter().map(|row| row[0].clone()).collect();
         assert_eq!(a, b);
     }
 }

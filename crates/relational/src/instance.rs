@@ -1,6 +1,6 @@
 //! Database instances (the data) and constraint validation.
 
-use crate::column::{columnar_enabled, Column, ColumnIter, ValueRef};
+use crate::column::{Column, ColumnIter, ValueRef};
 use crate::constraint::{Constraint, ConstraintKind, ConstraintSet};
 use crate::error::{Error, Result};
 use crate::schema::{AttrId, Schema, TableId};
@@ -257,21 +257,12 @@ impl TableData {
             .map(|slot| slot.get_or_init(|| Column::build(self.rows(), attr.0)))
     }
 
-    /// Iterate over the values of one column, in row order.
-    ///
-    /// Routed through the columnar store unless `EFES_COLUMNAR=off`
-    /// (see [`crate::column::COLUMNAR_ENV_VAR`]), in which case the
-    /// iterator walks the row-major rows directly (materialising them
-    /// for column-built tables); both backings yield identical
-    /// sequences.
+    /// Iterate over the values of one column, in row order, from the
+    /// columnar store.
     pub fn column(&self, attr: AttrId) -> ColumnIter<'_> {
-        if columnar_enabled() {
-            match self.column_store(attr) {
-                Some(col) => col.iter(),
-                None => Column::empty().iter(),
-            }
-        } else {
-            ColumnIter::over_rows(self.rows(), attr.0)
+        match self.column_store(attr) {
+            Some(col) => col.iter(),
+            None => Column::empty().iter(),
         }
     }
 }
@@ -397,47 +388,25 @@ impl Instance {
 
     /// The distinct non-null values of one column, in first-seen order.
     ///
-    /// Served by the columnar store when enabled: for text columns the
-    /// dictionary *is* the answer (no hashing, no per-row clones). The
-    /// row-major fallback hashes borrowed values and clones only the
-    /// distinct ones. Callers that only need the cardinality should use
-    /// [`Instance::distinct_count`] instead, which never clones.
+    /// Served by the columnar store: for text columns the dictionary
+    /// *is* the answer (no hashing, no per-row clones). Callers that only
+    /// need the cardinality should use [`Instance::distinct_count`]
+    /// instead, which never clones.
     pub fn distinct_values(&self, table: TableId, attr: AttrId) -> Vec<Value> {
-        let data = self.table(table);
-        if columnar_enabled() {
-            return match data.column_store(attr) {
-                Some(col) => col.distinct_values(),
-                None => Vec::new(),
-            };
+        match self.table(table).column_store(attr) {
+            Some(col) => col.distinct_values(),
+            None => Vec::new(),
         }
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for row in data.rows() {
-            let v = &row[attr.0];
-            if !v.is_null() && seen.insert(v) {
-                out.push(v.clone());
-            }
-        }
-        out
     }
 
     /// The number of distinct non-null values of one column — the
     /// allocation-free variant of [`Instance::distinct_values`] for the
     /// (common) callers that only need the count.
     pub fn distinct_count(&self, table: TableId, attr: AttrId) -> usize {
-        let data = self.table(table);
-        if columnar_enabled() {
-            return match data.column_store(attr) {
-                Some(col) => col.distinct_count(),
-                None => 0,
-            };
+        match self.table(table).column_store(attr) {
+            Some(col) => col.distinct_count(),
+            None => 0,
         }
-        let mut seen = HashSet::new();
-        data.rows()
-            .iter()
-            .map(|row| &row[attr.0])
-            .filter(|v| !v.is_null() && seen.insert(*v))
-            .count()
     }
 
     /// Validate the instance against `constraints`, returning every

@@ -15,8 +15,7 @@
 //!   not-null),
 //! * [`Instance`]s (the data) with full constraint validation,
 //! * a typed, dictionary-encoded [`Column`]ar mirror of every table,
-//!   built lazily for the profiling hot path (`EFES_COLUMNAR=off`
-//!   falls back to row-major iteration),
+//!   built lazily for the profiling hot path,
 //! * [`Database`] = schema + constraints + instance,
 //! * the [`IntegrationScenario`] model: source databases, a target database
 //!   and [`Correspondence`]s between their schema elements,
@@ -41,9 +40,7 @@ pub mod value;
 
 pub use builder::{DatabaseBuilder, TableBuilder};
 pub use constraint::{Constraint, ConstraintKind, ConstraintSet};
-pub use column::{
-    columnar_enabled, Column, ColumnBuilder, ColumnIter, TextColumn, ValueRef, COLUMNAR_ENV_VAR,
-};
+pub use column::{Column, ColumnBuilder, ColumnIter, TextColumn, ValueRef};
 pub use database::Database;
 pub use datatype::DataType;
 pub use error::{Error, Result};

@@ -4,9 +4,7 @@
 //! first-seen order, same counts — for every declared datatype and for
 //! type-mixed columns that fall back to [`Column::Mixed`].
 
-use efes_relational::{
-    Column, ColumnIter, DataType, DatabaseBuilder, Value, COLUMNAR_ENV_VAR,
-};
+use efes_relational::{Column, DataType, DatabaseBuilder, Value};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -89,8 +87,7 @@ proptest! {
         let via_column: Vec<Value> = data.column(attr).map(|v| v.to_value()).collect();
         prop_assert_eq!(&via_column, &col);
 
-        let via_rows: Vec<Value> =
-            ColumnIter::over_rows(data.rows(), 0).map(|v| v.to_value()).collect();
+        let via_rows: Vec<Value> = data.rows().iter().map(|row| row[0].clone()).collect();
         prop_assert_eq!(&via_rows, &col);
 
         if let Some(store) = data.column_store(attr) {
@@ -167,43 +164,4 @@ proptest! {
         }
         prop_assert_eq!(builder.finish(), Column::from_cells(col));
     }
-}
-
-/// The escape hatch: with `EFES_COLUMNAR=off` every read routes through
-/// the row-major rows and still observes identical data. Runs as one
-/// sequential test so the env flip cannot race a parallel reader that
-/// expects a specific backing (all other tests here hold on either
-/// path by construction).
-#[test]
-fn escape_hatch_disables_columnar_reads() {
-    let db = DatabaseBuilder::new("c")
-        .table("t", |t| t.attr("a", DataType::Text))
-        .rows(
-            "t",
-            vec![
-                vec![Value::Text("x".into())],
-                vec![Value::Null],
-                vec![Value::Text("x".into())],
-                vec![Value::Text("y".into())],
-            ],
-        )
-        .build()
-        .unwrap();
-    let t = db.schema.table_id("t").unwrap();
-    let attr = efes_relational::schema::AttrId(0);
-
-    let on: Vec<Value> = db.instance.table(t).column(attr).map(|v| v.to_value()).collect();
-    let distinct_on = db.instance.distinct_values(t, attr);
-
-    std::env::set_var(COLUMNAR_ENV_VAR, "off");
-    assert!(!efes_relational::columnar_enabled());
-    let off: Vec<Value> = db.instance.table(t).column(attr).map(|v| v.to_value()).collect();
-    let distinct_off = db.instance.distinct_values(t, attr);
-    let count_off = db.instance.distinct_count(t, attr);
-    std::env::remove_var(COLUMNAR_ENV_VAR);
-    assert!(efes_relational::columnar_enabled());
-
-    assert_eq!(on, off);
-    assert_eq!(distinct_on, distinct_off);
-    assert_eq!(count_off, distinct_off.len());
 }

@@ -400,19 +400,8 @@ impl Metrics {
             );
         }
 
-        let (shard_columns, shard_chunks) = efes_profiling::shard_counters();
         let (memo_hits, memo_misses) = efes_csg::eval_memo_counters();
         for (name, help, value) in [
-            (
-                "efes_profile_shard_columns_total",
-                "Columns profiled via the sharded monoid path (more than one chunk).",
-                shard_columns,
-            ),
-            (
-                "efes_profile_shard_chunks_total",
-                "Chunks profiled concurrently by the sharded monoid path.",
-                shard_chunks,
-            ),
             (
                 "efes_csg_eval_memo_hits_total",
                 "CSG expression-count evaluations served from the per-instance memo.",
@@ -614,8 +603,6 @@ mod tests {
         assert!(text.contains("efes_ingest_extended_total 1"));
         assert!(text.contains("efes_profile_delta_total 2"));
         assert!(text.contains("efes_profile_delta_rows_total 500"));
-        assert!(text.contains("# TYPE efes_profile_shard_columns_total counter"));
-        assert!(text.contains("# TYPE efes_profile_shard_chunks_total counter"));
         assert_eq!(m.cancelled_in_stage("values"), 2);
         assert_eq!(m.cancelled_in_stage("structure"), 0);
         assert_eq!(m.reclaimed_micros(), 1_500_000);

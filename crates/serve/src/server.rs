@@ -855,7 +855,7 @@ fn handle_match(state: &Arc<ServerState>, request: &Request) -> Response {
 /// retained by the previous version's cache: unchanged tables re-seed
 /// their profiles for free, grown tables accumulate only the appended
 /// rows (O(delta)) and finalize — bit-identical to a cold re-profile,
-/// by the monoid's chunk-split invariance.
+/// because accumulating consecutive row ranges equals one cold build.
 fn refresh_extended_cache(state: &Arc<ServerState>, name: &str, growth: &[TableGrowth]) {
     let Some(scenario) = state.registry.get(name) else {
         return;

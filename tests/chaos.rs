@@ -90,22 +90,6 @@ fn delete(addr: SocketAddr, name: &str) -> (u16, String) {
     )
 }
 
-/// Forces `EFES_PROFILE_SHARD=force` for one sub-step; clears it on
-/// drop. The policy is re-read per profile call, so this flips the live
-/// server.
-struct ShardGuard;
-
-fn with_forced_sharding() -> ShardGuard {
-    std::env::set_var(efes_profiling::shard::PROFILE_SHARD_ENV_VAR, "force");
-    ShardGuard
-}
-
-impl Drop for ShardGuard {
-    fn drop(&mut self) {
-        std::env::remove_var(efes_profiling::shard::PROFILE_SHARD_ENV_VAR);
-    }
-}
-
 /// A small synthetic scenario serialised as an upload document.
 fn upload_doc(name: &str) -> String {
     let cfg = SynthConfig::default().with_seed(7).with_rows(40);
@@ -185,26 +169,24 @@ fn injected_faults_stay_inside_their_isolation_boundaries() {
     }
     assert_eq!(get(addr, "/healthz").0, 200);
 
-    // --- Faults inside the sharded profile merge: neither a panic nor
-    // a cancel mid-merge may hang the job or poison the scenario's
-    // profile-cache slot. `force` routes even this tiny scenario
-    // through the split/merge path so `profiling.shard.merge` is
-    // reachable; each fault needs a cold cache, so the scenario is
-    // dropped and re-uploaded before the next mode. ---
+    // --- Faults inside a profile-cache fill: neither a panic nor a
+    // cancel mid-fill may hang the job or poison the scenario's
+    // profile-cache slot. `profiling.fill` fires once per cache miss,
+    // so each fault needs a cold cache: the scenario is dropped and
+    // re-uploaded after the baseline fills it. ---
     {
-        let _shard = with_forced_sharding();
-        let (status, shard_baseline) = post(
+        let (status, fill_baseline) = post(
             addr,
             "/estimate",
             r#"{"scenario":"chaos-upload","include_tasks":true}"#,
         );
-        assert_eq!(status, 200, "forced-shard baseline: {shard_baseline}");
+        assert_eq!(status, 200, "fill baseline: {fill_baseline}");
 
         assert_eq!(delete(addr, "chaos-upload").0, 200);
         assert_eq!(post(addr, "/scenarios", &doc).0, 201);
         {
             let _g = with_faults(&format!(
-                "seed={seed},rate=1,site=profiling.shard.merge,mode=panic"
+                "seed={seed},rate=1,site=profiling.fill,mode=panic"
             ));
             let (status, body) = post(addr, "/estimate", r#"{"scenario":"chaos-upload"}"#);
             assert_eq!(status, 500, "body: {body}");
@@ -212,7 +194,7 @@ fn injected_faults_stay_inside_their_isolation_boundaries() {
         }
         {
             let _g = with_faults(&format!(
-                "seed={seed},rate=1,site=profiling.shard.merge,mode=cancel"
+                "seed={seed},rate=1,site=profiling.fill,mode=cancel"
             ));
             let (status, body) = post(addr, "/estimate", r#"{"scenario":"chaos-upload"}"#);
             assert_eq!(status, 503, "body: {body}");
@@ -225,10 +207,10 @@ fn injected_faults_stay_inside_their_isolation_boundaries() {
             "/estimate",
             r#"{"scenario":"chaos-upload","include_tasks":true}"#,
         );
-        assert_eq!(status, 200, "post-shard-fault body: {body}");
+        assert_eq!(status, 200, "post-fill-fault body: {body}");
         assert_eq!(
-            body, shard_baseline,
-            "recovery after shard-merge faults must be byte-identical"
+            body, fill_baseline,
+            "recovery after cache-fill faults must be byte-identical"
         );
     }
 
@@ -240,20 +222,12 @@ fn injected_faults_stay_inside_their_isolation_boundaries() {
         "efes_fault_injected_total{site=\"serve.estimate.job\",mode=\"delay\"} 1",
         "efes_fault_injected_total{site=\"ingest.upload\",mode=\"alloc\"} 1",
         "efes_fault_injected_total{site=\"ingest.upload\",mode=\"panic\"} 1",
-        "efes_fault_injected_total{site=\"profiling.shard.merge\",mode=\"panic\"} 1",
-        "efes_fault_injected_total{site=\"profiling.shard.merge\",mode=\"cancel\"} 1",
+        "efes_fault_injected_total{site=\"profiling.fill\",mode=\"panic\"} 1",
+        "efes_fault_injected_total{site=\"profiling.fill\",mode=\"cancel\"} 1",
         "efes_panics_recovered_total 3",
     ] {
         assert!(metrics.contains(line), "missing {line:?} in:\n{metrics}");
     }
-    // The forced-shard estimates above actually split: the process-wide
-    // sharding tallies are visible and non-zero.
-    assert!(
-        metrics
-            .lines()
-            .any(|l| l.starts_with("efes_profile_shard_columns_total") && !l.ends_with(" 0")),
-        "no sharded columns counted in:\n{metrics}"
-    );
     assert!(
         metrics
             .lines()
