@@ -24,17 +24,13 @@ fn int_column(n: usize) -> Vec<Value> {
     (0..n).map(|i| Value::Int(120_000 + i as i64 * 37)).collect()
 }
 
-fn as_rows(col: &[Value]) -> Vec<Vec<Value>> {
-    col.iter().map(|v| vec![v.clone()]).collect()
-}
-
 fn bench_profiling(c: &mut Criterion) {
     let mut group = c.benchmark_group("profiling");
     for n in [1_000usize, 10_000, 100_000] {
         let texts = text_column(n);
         let ints = int_column(n);
-        let text_store = Column::build(&as_rows(&texts), 0);
-        let int_store = Column::build(&as_rows(&ints), 0);
+        let text_store = Column::from_cells(texts.clone());
+        let int_store = Column::from_cells(ints.clone());
 
         group.bench_with_input(BenchmarkId::new("text_profile", n), &texts, |b, col| {
             b.iter(|| AttributeProfile::compute(black_box(col.iter()), DataType::Text))

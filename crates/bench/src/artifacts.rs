@@ -11,7 +11,7 @@ use efes::task::TaskType;
 use efes_csg::planner::StructureTaskKind;
 use efes_csg::violations::ConflictKind;
 use efes_csg::{database_to_csg, detect_conflicts, match_relationships, NodeCorrespondences};
-use efes_relational::SourceId;
+use efes_relational::{AttrId, SourceId};
 use efes_scenarios::{music_example_scenario, MusicExampleConfig};
 
 /// Table 1: Harden's per-attribute task hours.
@@ -300,23 +300,27 @@ pub fn figure2(cfg: &MusicExampleConfig) -> String {
     }
     out.push_str("\n(b) Example instances from the target table tracks:\n");
     let tid = scenario.target.schema.table_id("tracks").unwrap();
-    for row in scenario.target.instance.table(tid).rows().iter().take(3) {
+    let tracks = scenario.target.instance.table(tid);
+    for i in 0..tracks.len().min(3) {
+        let cell = |a| tracks.value(i, AttrId(a));
         out.push_str(&format!(
             "    record {} | {} | {}\n",
-            row[0].render(),
-            row[1],
-            row[2]
+            cell(0).render(),
+            cell(1).to_value(),
+            cell(2).to_value()
         ));
     }
     out.push_str("\n(c) Example instances from the source table songs:\n");
     let src = scenario.source(SourceId(0));
     let tid = src.schema.table_id("songs").unwrap();
-    for row in src.instance.table(tid).rows().iter().take(3) {
+    let songs = src.instance.table(tid);
+    for i in 0..songs.len().min(3) {
+        let cell = |a| songs.value(i, AttrId(a));
         out.push_str(&format!(
             "    album s{} | {} | {}\n",
-            row[0].render(),
-            row[1],
-            row[3].render()
+            cell(0).render(),
+            cell(1).to_value(),
+            cell(3).render()
         ));
     }
     out

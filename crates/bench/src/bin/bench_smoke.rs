@@ -165,8 +165,6 @@ fn main() {
 
     let texts = text_column(rows);
     let ints = int_column(rows);
-    let text_rows: Vec<Vec<Value>> = texts.iter().map(|v| vec![v.clone()]).collect();
-    let int_rows: Vec<Vec<Value>> = ints.iter().map(|v| vec![v.clone()]).collect();
 
     let mut stages = Vec::new();
     let mut record = |name: &str, ns: u64| {
@@ -188,13 +186,13 @@ fn main() {
     let text_acc = record("text_profile_accumulator", median_ns(iters, || {
         std::hint::black_box(AttributeProfile::compute(texts.iter(), DataType::Text));
     }));
-    // Includes the one-off columnar build: the end-to-end cost a cold
-    // `of_attribute` pays.
+    // Includes building the column from a copy of the cells: the cost of
+    // loading the data as well as profiling it.
     let text_col_build = record("text_columnar_build_plus_profile", median_ns(iters, || {
-        let col = Column::build(&text_rows, 0);
+        let col = Column::from_cells(texts.clone());
         std::hint::black_box(AttributeProfile::compute_columnar(&col, DataType::Text));
     }));
-    let text_store = Column::build(&text_rows, 0);
+    let text_store = Column::from_cells(texts.clone());
     let text_col = record("text_profile_columnar", median_ns(iters, || {
         std::hint::black_box(AttributeProfile::compute_columnar(&text_store, DataType::Text));
     }));
@@ -205,7 +203,7 @@ fn main() {
     let num_acc = record("numeric_profile_accumulator", median_ns(iters, || {
         std::hint::black_box(AttributeProfile::compute(ints.iter(), DataType::Integer));
     }));
-    let int_store = Column::build(&int_rows, 0);
+    let int_store = Column::from_cells(ints.clone());
     let num_col = record("numeric_profile_columnar", median_ns(iters, || {
         std::hint::black_box(AttributeProfile::compute_columnar(&int_store, DataType::Integer));
     }));

@@ -141,19 +141,23 @@ pub fn database_to_csg_ctx(db: &Database, run: &RunContext) -> Result<CsgConvers
     }
 
     // --- Instance ---
+    // Column-major per table: every tuple first, then each attribute's
+    // values in row order. Each node and each relationship still gets its
+    // elements and links in row order, as a row-by-row walk would add them.
     let mut instance = CsgInstance::empty(&csg);
     for (ti, data) in db.instance.iter_tables() {
         let tnode = table_nodes[ti.0];
-        for (ri, row) in data.rows().iter().enumerate() {
-            let t_idx = instance.add_element(tnode, Element::Tuple(ri));
-            for (ai, v) in row.iter().enumerate() {
+        let tuples: Vec<u32> = (0..data.len())
+            .map(|ri| instance.add_element(tnode, Element::Tuple(ri)))
+            .collect();
+        for (ai, (&anode, &rel)) in attr_nodes[ti.0].iter().zip(&attr_rels[ti.0]).enumerate() {
+            for (t_idx, v) in tuples.iter().zip(data.column(AttrId(ai))) {
                 ck.tick()?;
                 if v.is_null() {
                     continue;
                 }
-                let anode = attr_nodes[ti.0][ai];
-                let v_idx = instance.add_element(anode, Element::Val(v.clone()));
-                instance.add_link(attr_rels[ti.0][ai], t_idx, v_idx);
+                let v_idx = instance.add_element(anode, Element::Val(v.to_value()));
+                instance.add_link(rel, *t_idx, v_idx);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Cooperative in-flight cancellation: [`RunContext`] and [`Checkpoint`].
 //!
-//! A [`CancellationToken`](crate::CancellationToken) lets a producer
+//! A [`CancellationToken`] lets a producer
 //! *request* that work stop; this module is how long-running kernels
 //! *honour* that request while it is still cheap to do so. A
 //! [`RunContext`] bundles the token with an optional deadline, and a

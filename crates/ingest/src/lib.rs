@@ -6,9 +6,8 @@
 //! * [`upload`] — the JSON wire format ([`ScenarioUpload`] and
 //!   friends) with a streaming parser that casts each cell to its
 //!   declared datatype and appends it straight into a typed
-//!   [`ColumnBuilder`](efes_relational::ColumnBuilder), so payloads
-//!   land in the same column-primary representation the profiler
-//!   reads — no row-major detour, rows only ever derived lazily.
+//!   [`Column`](efes_relational::Column), so payloads land in the one
+//!   representation every table has — no row-major detour.
 //! * [`registry`] — the [`DynamicRegistry`], which layers uploaded
 //!   scenarios over the compiled-in
 //!   [`ScenarioRegistry`](efes::ScenarioRegistry) behind the single

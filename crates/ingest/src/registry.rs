@@ -18,7 +18,7 @@
 
 use crate::IngestError;
 use efes::{ScenarioInfo, ScenarioProvider, ScenarioRegistry};
-use efes_relational::{AttrId, Database, IntegrationScenario, TableId, Value};
+use efes_relational::{AttrId, Column, Database, IntegrationScenario, TableId, ValueRef};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -102,22 +102,22 @@ impl Fnv128 {
     }
 }
 
-fn hash_cell(h: &mut Fnv128, v: &Value) {
+fn hash_cell(h: &mut Fnv128, v: ValueRef<'_>) {
     match v {
-        Value::Null => h.write(&[0]),
-        Value::Int(i) => {
+        ValueRef::Null => h.write(&[0]),
+        ValueRef::Int(i) => {
             h.write(&[1]);
             h.write(&i.to_le_bytes());
         }
-        Value::Float(f) => {
+        ValueRef::Float(f) => {
             h.write(&[2]);
             h.write(&f.to_bits().to_le_bytes());
         }
-        Value::Text(s) => {
+        ValueRef::Text(s) => {
             h.write(&[3]);
             h.write_str(s);
         }
-        Value::Bool(b) => h.write(&[4, u8::from(*b)]),
+        ValueRef::Bool(b) => h.write(&[4, u8::from(b)]),
     }
 }
 
@@ -132,19 +132,8 @@ fn hash_database(h: &mut Fnv128, db: &Database) {
         let data = db.instance.table(TableId(ti));
         h.write(&(data.len() as u64).to_le_bytes());
         for ai in 0..table.arity() {
-            match data.column_store(AttrId(ai)) {
-                // Column-primary (every uploaded scenario): hash the
-                // columns directly, never materialising rows.
-                Some(col) => {
-                    for i in 0..col.len() {
-                        hash_cell(h, &col.value(i).to_value());
-                    }
-                }
-                None => {
-                    for row in data.rows() {
-                        hash_cell(h, &row[ai]);
-                    }
-                }
+            for cell in data.column(AttrId(ai)) {
+                hash_cell(h, cell);
             }
         }
     }
@@ -174,41 +163,19 @@ pub fn scenario_fingerprint(scenario: &IntegrationScenario) -> u128 {
     h.finish()
 }
 
-/// Approximate resident bytes of a scenario's data: per cell, the
-/// row-slot cost (a [`Value`]) plus the typed column cost (numeric
-/// word, dictionary code, null-bitmap share), and text payload counted
-/// twice (dictionary bytes plus the row-form string). Deliberately a
-/// slight over-estimate — the budget is a safety rail, not an
-/// allocator.
+/// Approximate resident bytes of a scenario's data: what its tables'
+/// typed columns hold ([`efes_relational::TableData::heap_bytes`]) —
+/// per-variant slots, null bitmaps, each dictionary string once plus
+/// its index, owned cells of type-mixed columns. Allocator slack is not
+/// counted: the budget is a safety rail, not an allocator.
 pub fn approx_scenario_bytes(scenario: &IntegrationScenario) -> usize {
-    fn db_bytes(db: &Database) -> usize {
-        let per_cell = std::mem::size_of::<Value>() + 12;
-        let mut total = 0usize;
-        for (ti, table) in db.schema.tables().iter().enumerate() {
-            let data = db.instance.table(TableId(ti));
-            total += data.len() * table.arity() * per_cell;
-            for ai in 0..table.arity() {
-                match data.column_store(AttrId(ai)) {
-                    Some(col) => {
-                        for i in 0..col.len() {
-                            if let efes_relational::ValueRef::Text(s) = col.value(i) {
-                                total += 2 * s.len();
-                            }
-                        }
-                    }
-                    None => {
-                        for row in data.rows() {
-                            if let Value::Text(s) = &row[ai] {
-                                total += 2 * s.len();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        total
-    }
-    scenario.sources.iter().map(db_bytes).sum::<usize>() + db_bytes(&scenario.target)
+    scenario
+        .sources
+        .iter()
+        .chain(std::iter::once(&scenario.target))
+        .flat_map(|db| db.instance.iter_tables())
+        .map(|(_, data)| data.heap_bytes())
+        .sum()
 }
 
 // --- the registry -------------------------------------------------------
@@ -318,24 +285,10 @@ fn extension_growth(
                 return None;
             }
             let arity = old_db.schema.tables()[ti].arity();
-            for ai in 0..arity {
-                let is_prefix = match (
-                    old_data.column_store(AttrId(ai)),
-                    new_data.column_store(AttrId(ai)),
-                ) {
-                    (Some(a), Some(b)) => a.is_prefix_of(b),
-                    // Empty or row-only tables: compare the row slices
-                    // directly (Value equality is total, floats by bits).
-                    _ => {
-                        old_rows == 0
-                            || old_data
-                                .rows()
-                                .iter()
-                                .zip(new_data.rows())
-                                .all(|(a, b)| a[ai] == b[ai])
-                    }
-                };
-                if !is_prefix {
+            for attr in (0..arity).map(AttrId) {
+                let old_col = old_data.column_store(attr).unwrap_or(Column::empty());
+                let new_col = new_data.column_store(attr).unwrap_or(Column::empty());
+                if !old_col.is_prefix_of(new_col) {
                     return None;
                 }
             }

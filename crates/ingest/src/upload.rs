@@ -13,12 +13,10 @@
 //! each table's declared attribute list is parsed first, then the
 //! payload is walked record by record and every cell is cast to its
 //! attribute's declared [`DataType`] and pushed straight into that
-//! attribute's [`ColumnBuilder`]. A parsed [`TableUpload`] therefore
-//! holds finished typed [`Column`]s — the same representation
-//! [`TableData`](efes_relational::TableData) keeps as its
-//! column-primary source of truth, so [`ScenarioUpload::into_scenario`]
-//! loads them without copying and rows are only ever derived lazily,
-//! on demand.
+//! attribute's [`Column`] ([`Column::push`]). A parsed [`TableUpload`]
+//! therefore holds finished typed columns — the only storage
+//! [`TableData`](efes_relational::TableData) has — so
+//! [`ScenarioUpload::into_scenario`] loads them without copying.
 //!
 //! ## Fidelity caveats
 //!
@@ -32,9 +30,9 @@
 
 use crate::IngestError;
 use efes_relational::{
-    AttrRef, Attribute, Column, ColumnBuilder, Constraint, ConstraintKind, ConstraintSet,
-    Correspondence, CorrespondenceSet, DataType, Database, IntegrationScenario, Schema, SourceId,
-    Table, Value,
+    AttrRef, Attribute, Column, Constraint, ConstraintKind, ConstraintSet, Correspondence,
+    CorrespondenceSet, DataType, Database, IntegrationScenario, Schema, SourceId, Table, Value,
+    ValueRef,
 };
 use serde::{content_get, Content, DeError, Deserialize, Serialize};
 
@@ -349,12 +347,12 @@ impl Serialize for TableUpload {
                         Content::Seq(
                             self.columns
                                 .iter()
-                                .map(|c| match c.value(i).to_value() {
-                                    Value::Null => Content::Null,
-                                    Value::Int(v) => Content::I64(v),
-                                    Value::Float(v) => Content::F64(v),
-                                    Value::Text(s) => Content::Str(s),
-                                    Value::Bool(b) => Content::Bool(b),
+                                .map(|c| match c.value(i) {
+                                    ValueRef::Null => Content::Null,
+                                    ValueRef::Int(v) => Content::I64(v),
+                                    ValueRef::Float(v) => Content::F64(v),
+                                    ValueRef::Text(s) => Content::Str(s.to_owned()),
+                                    ValueRef::Bool(b) => Content::Bool(b),
                                 })
                                 .collect(),
                         )
@@ -408,17 +406,13 @@ impl Deserialize for TableUpload {
             )));
         }
 
-        let mut builders: Vec<ColumnBuilder> =
-            attributes.iter().map(|_| ColumnBuilder::new()).collect();
+        let mut columns: Vec<Column> = attributes.iter().map(|_| Column::default()).collect();
         let mut format = UploadFormat::JsonRows;
 
         if let Some(rows) = rows {
             let rows = rows
                 .as_seq()
                 .ok_or_else(|| DeError::expected("a JSON array for `rows`"))?;
-            for b in &mut builders {
-                *b = ColumnBuilder::with_capacity(rows.len());
-            }
             for (i, row) in rows.iter().enumerate() {
                 let cells = row
                     .as_seq()
@@ -430,11 +424,9 @@ impl Deserialize for TableUpload {
                         attributes.len()
                     )));
                 }
-                for ((cell, attr), builder) in
-                    cells.iter().zip(&attributes).zip(&mut builders)
-                {
+                for ((cell, attr), column) in cells.iter().zip(&attributes).zip(&mut columns) {
                     let raw = scalar_value(cell)?;
-                    builder.push(cast_cell(&name, attr, i, raw)?);
+                    column.push(ValueRef::of(&cast_cell(&name, attr, i, raw)?));
                 }
             }
         } else if let Some(csv) = csv {
@@ -463,15 +455,14 @@ impl Deserialize for TableUpload {
                         attributes.len()
                     )));
                 }
-                for ((field, attr), builder) in
-                    fields.into_iter().zip(&attributes).zip(&mut builders)
+                for ((field, attr), column) in fields.into_iter().zip(&attributes).zip(&mut columns)
                 {
                     let value = if field.is_empty() {
                         Value::Null
                     } else {
                         cast_cell(&name, attr, row, Value::Text(field))?
                     };
-                    builder.push(value);
+                    column.push(ValueRef::of(&value));
                 }
                 Ok(())
             })?;
@@ -480,7 +471,7 @@ impl Deserialize for TableUpload {
         Ok(TableUpload {
             name,
             attributes,
-            columns: builders.into_iter().map(ColumnBuilder::finish).collect(),
+            columns,
             format,
         })
     }
@@ -818,9 +809,10 @@ impl DatabaseUpload {
             .map(|(ti, t)| {
                 let data = db.instance.table(efes_relational::TableId(ti));
                 let columns: Vec<Column> = (0..t.arity())
-                    .map(|ai| match data.column_store(efes_relational::AttrId(ai)) {
-                        Some(col) => col.clone(),
-                        None => Column::from_cells(Vec::new()),
+                    .map(|ai| {
+                        data.column_store(efes_relational::AttrId(ai))
+                            .cloned()
+                            .unwrap_or_default()
                     })
                     .collect();
                 TableUpload {

@@ -67,7 +67,7 @@ fn json_rows_ingest_casts_by_declared_type() {
     assert_eq!(s.sources.len(), 1);
     let data = s.sources[0].instance.table(TableId(0));
     assert_eq!(data.len(), 3);
-    let rows = data.rows();
+    let rows: Vec<_> = data.rows().collect();
     // JSON `3` in a float attribute recovers as the float it denotes.
     assert_eq!(rows[1][2], Value::Float(3.0));
     assert_eq!(rows[0][2], Value::Float(9.99));
@@ -107,7 +107,7 @@ fn csv_payload_ingests_with_quotes_and_nulls() {
         .unwrap()
         .into_scenario()
         .unwrap();
-    let rows = s.sources[0].instance.table(TableId(0)).rows();
+    let rows: Vec<_> = s.sources[0].instance.table(TableId(0)).rows().collect();
     assert_eq!(rows[0][1], Value::Text("a,\"b\"".into()));
     // An empty CSV field is NULL, not an empty string.
     assert_eq!(rows[1][1], Value::Null);

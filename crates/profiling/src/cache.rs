@@ -129,7 +129,7 @@ const WAIT_SLICE: Duration = Duration::from_millis(20);
 
 /// The memoization table. Cheap to share (`Arc<ProfileCache>`); interior
 /// mutability is sharded so concurrent lookups of different columns
-/// rarely contend, and per-key [`FillState`] cells guarantee each profile
+/// rarely contend, and per-key fill-state cells guarantee each profile
 /// is computed exactly once even when several threads miss simultaneously
 /// — while staying recoverable when a fill panics or is cancelled
 /// mid-computation (the slot resets and the next caller recomputes).

@@ -10,7 +10,7 @@
 
 use efes_exec::{parallel_map, ExecutionMode};
 use efes_relational::schema::{AttrId, TableId};
-use efes_relational::{Constraint, ConstraintKind, ConstraintSet, Database, Value};
+use efes_relational::{Constraint, ConstraintKind, ConstraintSet, Database, Value, ValueRef};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -216,10 +216,10 @@ pub fn discover_constraints_with(
             }
             'pairs: for a in 0..arity {
                 for b in (a + 1)..arity {
-                    let mut seen: HashSet<(Value, Value)> = HashSet::with_capacity(data.len());
+                    let mut seen: HashSet<(ValueRef<'_>, ValueRef<'_>)> =
+                        HashSet::with_capacity(data.len());
                     let mut ok = true;
-                    for row in data.rows() {
-                        let key = (row[a].clone(), row[b].clone());
+                    for key in data.column(AttrId(a)).zip(data.column(AttrId(b))) {
                         if key.0.is_null() || key.1.is_null() || !seen.insert(key) {
                             ok = false;
                             break;
@@ -297,21 +297,20 @@ pub fn discover_constraints_with(
                     if lhs == rhs {
                         continue;
                     }
-                    let mut mapping: HashMap<&Value, &Value> = HashMap::new();
+                    let mut mapping: HashMap<ValueRef<'_>, ValueRef<'_>> = HashMap::new();
                     let mut holds = true;
-                    for row in data.rows() {
-                        let l = &row[lhs];
+                    for (l, r) in data.column(AttrId(lhs)).zip(data.column(AttrId(rhs))) {
                         if l.is_null() {
                             continue;
                         }
-                        match mapping.get(l) {
-                            Some(prev) if *prev != &row[rhs] => {
+                        match mapping.get(&l) {
+                            Some(prev) if *prev != r => {
                                 holds = false;
                                 break;
                             }
                             Some(_) => {}
                             None => {
-                                mapping.insert(l, &row[rhs]);
+                                mapping.insert(l, r);
                             }
                         }
                     }

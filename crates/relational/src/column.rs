@@ -1,15 +1,14 @@
-//! Typed columnar storage: the profiling hot path's data layout.
+//! Typed columnar storage: the only representation of a table's data.
 //!
-//! The row-major [`Vec<Row>`](crate::instance::Row) layout is the right
-//! shape for inserts and constraint validation, but the value-fit
-//! detector (paper §5.1) is data-volume bound: it reads whole columns,
-//! value by value, many times. Walking `Vec<Vec<Value>>` chases a
-//! pointer per cell and pays the full `Value` enum tag on every read.
+//! The value-fit detector (paper §5.1) is data-volume bound: it reads
+//! whole columns, value by value, many times. CSG conversion (§4) reads
+//! tuples, which it gets by walking one table's columns side by side.
+//! Both read the same [`Column`]s; no row-major copy of the data exists.
 //!
 //! A [`Column`] is a contiguous, typed copy of one attribute's cells,
-//! built lazily (and at most once) per column:
+//! grown one cell at a time by [`Column::push`]:
 //!
-//! * integer columns become a `Vec<i64>` plus a [`NullBitmap`],
+//! * integer columns are a `Vec<i64>` plus a [`NullBitmap`],
 //! * float columns a `Vec<f64>` plus a [`NullBitmap`],
 //! * text columns a dictionary-encoded [`TextColumn`] — one arena
 //!   `String` holding every *distinct* value, per-row `u32` codes, and
@@ -17,21 +16,23 @@
 //!   distinct value instead of per row,
 //! * boolean columns a `Vec<bool>` plus a [`NullBitmap`],
 //! * anything type-mixed (e.g. a float attribute holding both `Int` and
-//!   `Float` values, or a deserialized instance that bypassed insert
-//!   checking) falls back to a contiguous [`Column::Mixed`] `Vec<Value>`.
+//!   `Float` values), all-NULL or empty is a [`Column::Mixed`] of owned
+//!   values.
 //!
 //! Cells read back as [`ValueRef`]s — borrowed, `Copy` views that
 //! reproduce [`Value`] semantics without materialising owned values.
 
-use crate::instance::Row;
 use crate::value::Value;
-use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 
 /// A borrowed, `Copy` view of one cell.
 ///
 /// Mirrors [`Value`] variant-for-variant; [`ValueRef::to_value`]
-/// round-trips exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// round-trips exactly. Equality and hashing follow [`Value`]'s total
+/// semantics: floats compare by [`f64::to_bits`], so NaNs equal
+/// themselves and `0.0 != -0.0`, and cells of different variants are
+/// never equal.
+#[derive(Debug, Clone, Copy)]
 pub enum ValueRef<'a> {
     /// SQL NULL.
     Null,
@@ -43,6 +44,34 @@ pub enum ValueRef<'a> {
     Text(&'a str),
     /// Boolean.
     Bool(bool),
+}
+
+impl PartialEq for ValueRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (ValueRef::Null, ValueRef::Null) => true,
+            (ValueRef::Int(a), ValueRef::Int(b)) => a == b,
+            (ValueRef::Float(a), ValueRef::Float(b)) => a.to_bits() == b.to_bits(),
+            (ValueRef::Text(a), ValueRef::Text(b)) => a == b,
+            (ValueRef::Bool(a), ValueRef::Bool(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for ValueRef<'_> {}
+
+impl Hash for ValueRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match *self {
+            ValueRef::Null => {}
+            ValueRef::Int(i) => i.hash(state),
+            ValueRef::Float(f) => f.to_bits().hash(state),
+            ValueRef::Text(s) => s.hash(state),
+            ValueRef::Bool(b) => b.hash(state),
+        }
+    }
 }
 
 impl<'a> ValueRef<'a> {
@@ -98,21 +127,6 @@ impl<'a> ValueRef<'a> {
         }
     }
 
-    /// Bit-exact cell equality: like `==`, except floats compare by
-    /// [`f64::to_bits`], so NaNs equal themselves and `0.0 != -0.0` —
-    /// the same total semantics [`Value`]'s `Eq` uses. This is the cell
-    /// relation behind [`Column::is_prefix_of`].
-    pub fn bit_eq(self, other: ValueRef<'_>) -> bool {
-        match (self, other) {
-            (ValueRef::Null, ValueRef::Null) => true,
-            (ValueRef::Int(a), ValueRef::Int(b)) => a == b,
-            (ValueRef::Float(a), ValueRef::Float(b)) => a.to_bits() == b.to_bits(),
-            (ValueRef::Text(a), ValueRef::Text(b)) => a == b,
-            (ValueRef::Bool(a), ValueRef::Bool(b)) => a == b,
-            _ => false,
-        }
-    }
-
     /// Render exactly like [`Value::render`].
     pub fn render(self) -> String {
         match self {
@@ -141,6 +155,15 @@ impl NullBitmap {
         }
     }
 
+    /// An all-NULL bitmap sized for `len` rows.
+    fn all_null(len: usize) -> Self {
+        let mut nulls = NullBitmap::new(len);
+        for i in 0..len {
+            nulls.set(i);
+        }
+        nulls
+    }
+
     /// Mark row `i` as NULL.
     pub fn set(&mut self, i: usize) {
         let word = &mut self.words[i / 64];
@@ -148,6 +171,18 @@ impl NullBitmap {
         if *word & mask == 0 {
             *word |= mask;
             self.count += 1;
+        }
+    }
+
+    /// Extend the bitmap to cover row `i`, the row after the last one it
+    /// covers, marking it NULL if asked. Keeps the words exactly those of
+    /// [`NullBitmap::new`]`(i + 1)` plus the same `set` calls.
+    fn push(&mut self, i: usize, is_null: bool) {
+        if i.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        if is_null {
+            self.set(i);
         }
     }
 
@@ -182,7 +217,7 @@ pub const NULL_CODE: u32 = u32::MAX;
 
 /// Dictionary-encoded text column: every distinct string is stored once
 /// in a shared arena (in first-seen order), rows hold `u32` codes.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct TextColumn {
     /// Per-row dictionary code; [`NULL_CODE`] for NULL rows.
     codes: Vec<u32>,
@@ -193,36 +228,93 @@ pub struct TextColumn {
     /// `dict_len() + 1` byte offsets into `bytes`.
     offsets: Vec<usize>,
     null_count: usize,
+    /// Open-addressing hash index over the dictionary: a slot holds a
+    /// code plus one, `0` marks it empty, and at most half the slots are
+    /// full. Probes compare against the arena, so no string is stored
+    /// twice.
+    index: Vec<u32>,
+    /// Seeds the index's hashes. Random per column, so strings from
+    /// outside the program cannot be crafted to collide.
+    hasher: RandomState,
+}
+
+impl PartialEq for TextColumn {
+    /// Equal dictionaries and codes; the index is derived from them.
+    fn eq(&self, other: &Self) -> bool {
+        self.codes == other.codes
+            && self.counts == other.counts
+            && self.bytes == other.bytes
+            && self.offsets == other.offsets
+            && self.null_count == other.null_count
+    }
 }
 
 impl TextColumn {
-    fn build_with<'a>(len: usize, get: impl Fn(usize) -> &'a Value) -> Self {
-        let mut col = TextColumn {
-            codes: Vec::with_capacity(len),
-            ..TextColumn::default()
+    /// A column of `n` NULL rows and an empty dictionary.
+    fn of_nulls(n: usize) -> Self {
+        TextColumn {
+            codes: vec![NULL_CODE; n],
+            counts: Vec::new(),
+            bytes: String::new(),
+            offsets: vec![0],
+            null_count: n,
+            index: vec![0; 8],
+            hasher: RandomState::new(),
+        }
+    }
+
+    /// Append a non-null row, adding `s` to the dictionary on first sight.
+    fn push(&mut self, s: &str) {
+        let slot = self.slot_of(s);
+        let code = match self.index[slot] {
+            0 => self.intern(s, slot),
+            stored => stored - 1,
         };
-        col.offsets.push(0);
-        let mut dict: HashMap<&'a str, u32> = HashMap::new();
-        for i in 0..len {
-            match get(i) {
-                Value::Null => {
-                    col.null_count += 1;
-                    col.codes.push(NULL_CODE);
+        self.counts[code as usize] += 1;
+        self.codes.push(code);
+    }
+
+    /// The index slot holding `s`, or the empty slot where it belongs.
+    fn slot_of(&self, s: &str) -> usize {
+        let mask = self.index.len() - 1;
+        let mut slot = self.hasher.hash_one(s) as usize & mask;
+        while self.index[slot] != 0 && self.dict_str(self.index[slot] - 1) != s {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// Append `s` to the dictionary, filing it in the empty index `slot`;
+    /// returns its code.
+    fn intern(&mut self, s: &str, slot: usize) -> u32 {
+        let code = u32::try_from(self.counts.len())
+            .ok()
+            .filter(|&c| c != NULL_CODE)
+            .expect("a text column holds fewer than u32::MAX distinct strings");
+        self.bytes.push_str(s);
+        self.offsets.push(self.bytes.len());
+        self.counts.push(0);
+        self.index[slot] = code + 1;
+        if 2 * self.counts.len() > self.index.len() {
+            // Double the index and refile every code; the strings are
+            // distinct, so each lands in the first empty slot it probes.
+            self.index = vec![0; 2 * self.index.len()];
+            let mask = self.index.len() - 1;
+            for code in 0..=code {
+                let mut slot = self.hasher.hash_one(self.dict_str(code)) as usize & mask;
+                while self.index[slot] != 0 {
+                    slot = (slot + 1) & mask;
                 }
-                Value::Text(s) => {
-                    let code = *dict.entry(s.as_str()).or_insert_with(|| {
-                        col.bytes.push_str(s);
-                        col.offsets.push(col.bytes.len());
-                        col.counts.push(0);
-                        (col.offsets.len() - 2) as u32
-                    });
-                    col.counts[code as usize] += 1;
-                    col.codes.push(code);
-                }
-                other => unreachable!("text column holds {other:?}"),
+                self.index[slot] = code + 1;
             }
         }
-        col
+        code
+    }
+
+    /// Append a NULL row.
+    fn push_null(&mut self) {
+        self.null_count += 1;
+        self.codes.push(NULL_CODE);
     }
 
     /// Number of rows.
@@ -270,6 +362,15 @@ impl TextColumn {
     pub fn dict_iter(&self) -> impl Iterator<Item = &str> {
         (0..self.dict_len() as u32).map(|c| self.dict_str(c))
     }
+
+    /// Approximate heap bytes: codes, counts, the dictionary (arena and
+    /// offsets) and its index.
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.codes.len() + self.index.len()) * size_of::<u32>()
+            + (self.counts.len() + self.offsets.len()) * size_of::<usize>()
+            + self.bytes.len()
+    }
 }
 
 /// A typed, contiguous copy of one attribute's cells.
@@ -298,13 +399,32 @@ pub enum Column {
         /// Which rows are NULL.
         nulls: NullBitmap,
     },
-    /// Type-mixed (or all-NULL, or empty) column: a contiguous copy of
-    /// the cells, still an improvement over per-row pointer chasing.
-    Mixed(Vec<Value>),
+    /// Type-mixed (or all-NULL, or empty) column: the cells as owned
+    /// values.
+    Mixed {
+        /// The cells, in row order.
+        cells: Vec<Value>,
+        /// How many cells are NULL. While this equals `cells.len()` the
+        /// column is all-NULL, and its first non-null cell will type it.
+        nulls: usize,
+    },
 }
 
-/// A column with no rows, for attributes of empty tables.
-static EMPTY_COLUMN: Column = Column::Mixed(Vec::new());
+/// A column with no rows, for attributes a table holds no column for.
+static EMPTY_COLUMN: Column = Column::Mixed {
+    cells: Vec::new(),
+    nulls: 0,
+};
+
+impl Default for Column {
+    /// An empty column: [`Column::Mixed`] until its first non-null cell.
+    fn default() -> Self {
+        Column::Mixed {
+            cells: Vec::new(),
+            nulls: 0,
+        }
+    }
+}
 
 impl Column {
     /// An empty column (zero rows).
@@ -312,98 +432,98 @@ impl Column {
         &EMPTY_COLUMN
     }
 
-    /// Build the typed representation of column `attr` of `rows`.
-    pub fn build(rows: &[Row], attr: usize) -> Column {
-        Self::build_typed(rows.len(), |i| &rows[i][attr])
-            .unwrap_or_else(|| Column::Mixed(rows.iter().map(|r| r[attr].clone()).collect()))
-    }
-
-    /// Build the typed representation of an owned column of cells — the
-    /// column-major twin of [`Column::build`], used by generators that
-    /// produce data column-wise and stream it straight into the store.
-    ///
-    /// Shares the classify-then-build core with [`Column::build`], so a
-    /// column loaded through this path is identical to the one a lazy
-    /// rebuild from the derived rows would produce. The type-mixed (or
-    /// all-NULL) fallback reuses `cells` without copying.
+    /// The column holding `cells`, in order: a fold of [`Column::push`].
     pub fn from_cells(cells: Vec<Value>) -> Column {
-        match Self::build_typed(cells.len(), |i| &cells[i]) {
-            Some(col) => col,
-            None => Column::Mixed(cells),
+        let mut col = Column::default();
+        for cell in &cells {
+            col.push(ValueRef::of(cell));
+        }
+        col
+    }
+
+    /// Append one cell — the only way a column is built.
+    ///
+    /// A column starts empty and [`Column::Mixed`]. The first non-null
+    /// cell types it after the variant of that cell, with the NULLs seen
+    /// so far replayed. A later non-null cell of another variant demotes
+    /// it to [`Column::Mixed`] for good. Each change happens at most once
+    /// per column, so building a column of `n` cells is O(n) whatever
+    /// their order. NULLs fit every variant. The result does not depend
+    /// on how the cells arrive: pushing them one by one and
+    /// [`Column::from_cells`] build identical columns.
+    pub fn push(&mut self, cell: ValueRef<'_>) {
+        let row = self.len();
+        match (&mut *self, cell) {
+            (Column::Int { values, nulls }, ValueRef::Int(v)) => {
+                nulls.push(row, false);
+                values.push(v);
+            }
+            (Column::Int { values, nulls }, ValueRef::Null) => {
+                nulls.push(row, true);
+                values.push(0);
+            }
+            (Column::Float { values, nulls }, ValueRef::Float(v)) => {
+                nulls.push(row, false);
+                values.push(v);
+            }
+            (Column::Float { values, nulls }, ValueRef::Null) => {
+                nulls.push(row, true);
+                values.push(0.0);
+            }
+            (Column::Bool { values, nulls }, ValueRef::Bool(v)) => {
+                nulls.push(row, false);
+                values.push(v);
+            }
+            (Column::Bool { values, nulls }, ValueRef::Null) => {
+                nulls.push(row, true);
+                values.push(false);
+            }
+            (Column::Text(t), ValueRef::Text(s)) => t.push(s),
+            (Column::Text(t), ValueRef::Null) => t.push_null(),
+            (Column::Mixed { cells, nulls }, ValueRef::Null) => {
+                cells.push(Value::Null);
+                *nulls += 1;
+            }
+            (Column::Mixed { cells, nulls }, cell) if *nulls < cells.len() => {
+                cells.push(cell.to_value());
+            }
+            // An all-NULL column meets its first non-null cell, or a
+            // typed column meets a cell of another variant.
+            (_, cell) => {
+                let mut next = match &*self {
+                    Column::Mixed { .. } => Column::of_nulls(row, cell),
+                    typed => Column::Mixed {
+                        cells: typed.iter().map(ValueRef::to_value).collect(),
+                        nulls: typed.null_count(),
+                    },
+                };
+                next.push(cell);
+                *self = next;
+            }
         }
     }
 
-    /// The classify-then-build core shared by [`Column::build`] and
-    /// [`Column::from_cells`]: `None` means the cells are type-mixed (or
-    /// all-NULL/empty) and the caller should fall back to
-    /// [`Column::Mixed`].
-    fn build_typed<'a>(len: usize, get: impl Fn(usize) -> &'a Value) -> Option<Column> {
-        // First pass: classify. The per-cell work is a discriminant read,
-        // so this costs far less than the build it steers.
-        let (mut ints, mut floats, mut texts, mut bools) = (0usize, 0usize, 0usize, 0usize);
-        for i in 0..len {
-            match get(i) {
-                Value::Null => {}
-                Value::Int(_) => ints += 1,
-                Value::Float(_) => floats += 1,
-                Value::Text(_) => texts += 1,
-                Value::Bool(_) => bools += 1,
-            }
+    /// A column of `n` NULL rows, typed after `like`'s variant.
+    fn of_nulls(n: usize, like: ValueRef<'_>) -> Column {
+        match like {
+            ValueRef::Int(_) => Column::Int {
+                values: vec![0; n],
+                nulls: NullBitmap::all_null(n),
+            },
+            ValueRef::Float(_) => Column::Float {
+                values: vec![0.0; n],
+                nulls: NullBitmap::all_null(n),
+            },
+            ValueRef::Bool(_) => Column::Bool {
+                values: vec![false; n],
+                nulls: NullBitmap::all_null(n),
+            },
+            ValueRef::Text(_) => Column::Text(TextColumn::of_nulls(n)),
+            ValueRef::Null => Column::Mixed {
+                cells: vec![Value::Null; n],
+                nulls: n,
+            },
         }
-        let non_null = ints + floats + texts + bools;
-        if non_null == 0 {
-            // All-NULL or empty: nothing to type.
-            return None;
-        }
-        if texts == non_null {
-            return Some(Column::Text(TextColumn::build_with(len, get)));
-        }
-        if ints == non_null {
-            let mut values = Vec::with_capacity(len);
-            let mut nulls = NullBitmap::new(len);
-            for i in 0..len {
-                match get(i) {
-                    Value::Int(v) => values.push(*v),
-                    Value::Null => {
-                        nulls.set(i);
-                        values.push(0);
-                    }
-                    other => unreachable!("int column holds {other:?}"),
-                }
-            }
-            return Some(Column::Int { values, nulls });
-        }
-        if floats == non_null {
-            let mut values = Vec::with_capacity(len);
-            let mut nulls = NullBitmap::new(len);
-            for i in 0..len {
-                match get(i) {
-                    Value::Float(v) => values.push(*v),
-                    Value::Null => {
-                        nulls.set(i);
-                        values.push(0.0);
-                    }
-                    other => unreachable!("float column holds {other:?}"),
-                }
-            }
-            return Some(Column::Float { values, nulls });
-        }
-        if bools == non_null {
-            let mut values = Vec::with_capacity(len);
-            let mut nulls = NullBitmap::new(len);
-            for i in 0..len {
-                match get(i) {
-                    Value::Bool(v) => values.push(*v),
-                    Value::Null => {
-                        nulls.set(i);
-                        values.push(false);
-                    }
-                    other => unreachable!("bool column holds {other:?}"),
-                }
-            }
-            return Some(Column::Bool { values, nulls });
-        }
-        None
     }
 
     /// A short label of the column's typed variant, for error messages.
@@ -413,7 +533,7 @@ impl Column {
             Column::Float { .. } => "float column",
             Column::Text(_) => "text column",
             Column::Bool { .. } => "boolean column",
-            Column::Mixed(_) => "mixed column",
+            Column::Mixed { .. } => "mixed column",
         }
     }
 
@@ -424,7 +544,7 @@ impl Column {
             Column::Float { values, .. } => values.len(),
             Column::Text(t) => t.len(),
             Column::Bool { values, .. } => values.len(),
-            Column::Mixed(v) => v.len(),
+            Column::Mixed { cells, .. } => cells.len(),
         }
     }
 
@@ -440,7 +560,26 @@ impl Column {
             | Column::Float { nulls, .. }
             | Column::Bool { nulls, .. } => nulls.count(),
             Column::Text(t) => t.null_count(),
-            Column::Mixed(v) => v.iter().filter(|v| v.is_null()).count(),
+            Column::Mixed { nulls, .. } => *nulls,
+        }
+    }
+
+    /// Approximate heap bytes the column holds: its typed slots and null
+    /// bitmap, its dictionary (each distinct string once) and the
+    /// dictionary's index, or its owned cells with their text payloads. This is what
+    /// an ingest budget charges for the data of a table.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let bitmap = |nulls: &NullBitmap| nulls.words.len() * size_of::<u64>();
+        match self {
+            Column::Int { values, nulls } => values.len() * size_of::<i64>() + bitmap(nulls),
+            Column::Float { values, nulls } => values.len() * size_of::<f64>() + bitmap(nulls),
+            Column::Bool { values, nulls } => values.len() * size_of::<bool>() + bitmap(nulls),
+            Column::Text(t) => t.heap_bytes(),
+            Column::Mixed { cells, .. } => cells
+                .iter()
+                .map(|v| size_of::<Value>() + v.as_text().map_or(0, str::len))
+                .sum(),
         }
     }
 
@@ -476,7 +615,7 @@ impl Column {
                     ValueRef::Bool(values[i])
                 }
             }
-            Column::Mixed(v) => ValueRef::of(&v[i]),
+            Column::Mixed { cells, .. } => ValueRef::of(&cells[i]),
         }
     }
 
@@ -507,7 +646,7 @@ impl Column {
             Column::Float { values, nulls } => {
                 // `f64::to_bits` keys match `Value`'s float Hash/Eq
                 // (both are bit-exact, so NaN payloads and -0.0 vs 0.0
-                // stay distinct, exactly as in the row-major path).
+                // stay distinct).
                 let mut seen = std::collections::HashSet::new();
                 let mut out = Vec::new();
                 for (i, v) in values.iter().enumerate() {
@@ -528,10 +667,10 @@ impl Column {
                 }
                 out
             }
-            Column::Mixed(vals) => {
+            Column::Mixed { cells, .. } => {
                 let mut seen = std::collections::HashSet::new();
                 let mut out = Vec::new();
-                for v in vals {
+                for v in cells {
                     if !v.is_null() && seen.insert(v) {
                         out.push(v.clone());
                     }
@@ -573,15 +712,15 @@ impl Column {
                 }
                 n
             }
-            Column::Mixed(vals) => {
+            Column::Mixed { cells, .. } => {
                 let mut seen = std::collections::HashSet::new();
-                vals.iter().filter(|v| !v.is_null() && seen.insert(*v)).count()
+                cells.iter().filter(|v| !v.is_null() && seen.insert(*v)).count()
             }
         }
     }
 
     /// `true` iff `other`'s first `self.len()` rows equal `self`'s rows
-    /// cell for cell (floats bit-exact, as in [`ValueRef::bit_eq`]).
+    /// cell for cell (floats bit-exact, as in [`ValueRef`]'s equality).
     ///
     /// This is the append detector behind incremental profiling: a
     /// re-uploaded scenario whose every column is a prefix of the new
@@ -618,271 +757,8 @@ impl Column {
                     && a.offsets[..] == b.offsets[..a.offsets.len()]
                     && b.bytes.as_bytes().starts_with(a.bytes.as_bytes())
             }
-            (Column::Mixed(a), Column::Mixed(b)) => a[..] == b[..n],
-            _ => (0..n).all(|i| self.value(i).bit_eq(other.value(i))),
-        }
-    }
-}
-
-/// Incremental, type-adaptive builder for one [`Column`] — the streaming
-/// twin of [`Column::from_cells`].
-///
-/// [`Column::from_cells`] needs the whole column up front to classify it;
-/// a network ingest sees one cell at a time. The builder keeps a typed
-/// accumulator that adapts as cells arrive: it starts undecided, commits
-/// to the variant of the first non-null cell, and demotes to
-/// [`Column::Mixed`] (reconstructing the owned values it has absorbed —
-/// once per column, never per cell) the moment a conflicting variant
-/// shows up. NULLs are welcome in every state.
-///
-/// The invariant, pinned by differential tests: for any cell sequence,
-/// `builder.finish() == Column::from_cells(cells)` — bit-identical, null
-/// bitmaps and dictionary order included. That is what lets an ingested
-/// table share profile caches and golden figures with a column-loaded
-/// one.
-#[derive(Debug, Default)]
-pub struct ColumnBuilder {
-    len: usize,
-    /// Expected row count from [`ColumnBuilder::with_capacity`]; applied
-    /// when the first non-null cell commits a typed state.
-    reserve_hint: usize,
-    state: BuilderState,
-}
-
-#[derive(Debug, Default)]
-enum BuilderState {
-    /// No non-null cell seen yet; `len` nulls are pending replay.
-    #[default]
-    Undecided,
-    Int {
-        values: Vec<i64>,
-        nulls: NullBitmap,
-    },
-    Float {
-        values: Vec<f64>,
-        nulls: NullBitmap,
-    },
-    Text {
-        col: TextColumn,
-        /// Owned-key mirror of the arena dictionary: the arena `String`
-        /// reallocates as it grows, so codes cannot key off borrowed
-        /// slices the way the batch build does.
-        dict: HashMap<String, u32>,
-    },
-    Bool {
-        values: Vec<bool>,
-        nulls: NullBitmap,
-    },
-    Mixed(Vec<Value>),
-}
-
-/// Extend `nulls` to cover row `i`, marking it NULL if asked. Rows must
-/// arrive in order; the finished bitmap is identical to
-/// [`NullBitmap::new`]`(len)` plus the same `set` calls.
-fn bitmap_push(nulls: &mut NullBitmap, i: usize, is_null: bool) {
-    if i.is_multiple_of(64) {
-        nulls.words.push(0);
-    }
-    if is_null {
-        nulls.set(i);
-    }
-}
-
-/// An all-NULL bitmap covering rows `0..len`.
-fn all_null_bitmap(len: usize) -> NullBitmap {
-    let mut nulls = NullBitmap::new(len);
-    for i in 0..len {
-        nulls.set(i);
-    }
-    nulls
-}
-
-impl ColumnBuilder {
-    /// A builder holding no cells.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A builder expecting about `rows` cells.
-    pub fn with_capacity(rows: usize) -> Self {
-        // Capacity lands where the first non-null cell commits a state;
-        // until then there is nothing to reserve.
-        let mut b = Self::new();
-        b.reserve_hint = rows;
-        b
-    }
-
-    /// Cells absorbed so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` iff no cell has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Absorb the next cell.
-    pub fn push(&mut self, cell: Value) {
-        let i = self.len;
-        self.len += 1;
-        match (&mut self.state, cell) {
-            // NULLs keep whatever state we are in.
-            (BuilderState::Undecided, Value::Null) => {}
-            (BuilderState::Int { values, nulls }, Value::Null) => {
-                bitmap_push(nulls, i, true);
-                values.push(0);
-            }
-            (BuilderState::Float { values, nulls }, Value::Null) => {
-                bitmap_push(nulls, i, true);
-                values.push(0.0);
-            }
-            (BuilderState::Bool { values, nulls }, Value::Null) => {
-                bitmap_push(nulls, i, true);
-                values.push(false);
-            }
-            (BuilderState::Text { col, .. }, Value::Null) => {
-                col.null_count += 1;
-                col.codes.push(NULL_CODE);
-            }
-            (BuilderState::Mixed(cells), cell) => cells.push(cell),
-
-            // First non-null cell: commit to its variant, replaying the
-            // leading NULLs into the typed accumulator.
-            (BuilderState::Undecided, cell) => {
-                self.state = Self::commit(i, self.reserve_hint, cell);
-            }
-
-            // Matching non-null cells extend the typed accumulator.
-            (BuilderState::Int { values, nulls }, Value::Int(v)) => {
-                bitmap_push(nulls, i, false);
-                values.push(v);
-            }
-            (BuilderState::Float { values, nulls }, Value::Float(v)) => {
-                bitmap_push(nulls, i, false);
-                values.push(v);
-            }
-            (BuilderState::Bool { values, nulls }, Value::Bool(v)) => {
-                bitmap_push(nulls, i, false);
-                values.push(v);
-            }
-            (BuilderState::Text { col, dict }, Value::Text(s)) => {
-                let code = match dict.get(s.as_str()) {
-                    Some(&code) => code,
-                    None => {
-                        col.bytes.push_str(&s);
-                        col.offsets.push(col.bytes.len());
-                        col.counts.push(0);
-                        let code = (col.offsets.len() - 2) as u32;
-                        dict.insert(s, code);
-                        code
-                    }
-                };
-                col.counts[code as usize] += 1;
-                col.codes.push(code);
-            }
-
-            // Conflicting variant: demote to Mixed, once.
-            (_, cell) => {
-                let mut cells = self.demote(i);
-                cells.push(cell);
-                self.state = BuilderState::Mixed(cells);
-            }
-        }
-    }
-
-    /// The typed state for the first non-null `cell` arriving at row
-    /// `leading_nulls`.
-    fn commit(leading_nulls: usize, hint: usize, cell: Value) -> BuilderState {
-        let cap = hint.max(leading_nulls + 1);
-        let mut nulls = all_null_bitmap(leading_nulls);
-        bitmap_push(&mut nulls, leading_nulls, false);
-        match cell {
-            Value::Int(v) => {
-                let mut values = Vec::with_capacity(cap);
-                values.resize(leading_nulls, 0);
-                values.push(v);
-                BuilderState::Int { values, nulls }
-            }
-            Value::Float(v) => {
-                let mut values = Vec::with_capacity(cap);
-                values.resize(leading_nulls, 0.0);
-                values.push(v);
-                BuilderState::Float { values, nulls }
-            }
-            Value::Bool(v) => {
-                let mut values = Vec::with_capacity(cap);
-                values.resize(leading_nulls, false);
-                values.push(v);
-                BuilderState::Bool { values, nulls }
-            }
-            Value::Text(s) => {
-                let mut col = TextColumn {
-                    codes: Vec::with_capacity(cap),
-                    ..TextColumn::default()
-                };
-                col.offsets.push(0);
-                col.codes.resize(leading_nulls, NULL_CODE);
-                col.null_count = leading_nulls;
-                col.bytes.push_str(&s);
-                col.offsets.push(col.bytes.len());
-                col.counts.push(1);
-                col.codes.push(0);
-                let mut dict = HashMap::new();
-                dict.insert(s, 0u32);
-                BuilderState::Text { col, dict }
-            }
-            Value::Null => unreachable!("commit is only called on non-null cells"),
-        }
-    }
-
-    /// Reconstruct the `rows` cells absorbed so far as owned values — the
-    /// one-time cost of demoting a typed accumulator to Mixed.
-    fn demote(&mut self, rows: usize) -> Vec<Value> {
-        let mut cells = Vec::with_capacity(rows + 1);
-        match std::mem::take(&mut self.state) {
-            BuilderState::Undecided => cells.resize(rows, Value::Null),
-            BuilderState::Int { values, nulls } => {
-                for (i, v) in values.into_iter().enumerate() {
-                    cells.push(if nulls.is_null(i) { Value::Null } else { Value::Int(v) });
-                }
-            }
-            BuilderState::Float { values, nulls } => {
-                for (i, v) in values.into_iter().enumerate() {
-                    cells.push(if nulls.is_null(i) { Value::Null } else { Value::Float(v) });
-                }
-            }
-            BuilderState::Bool { values, nulls } => {
-                for (i, v) in values.into_iter().enumerate() {
-                    cells.push(if nulls.is_null(i) { Value::Null } else { Value::Bool(v) });
-                }
-            }
-            BuilderState::Text { col, .. } => {
-                for &code in &col.codes {
-                    cells.push(if code == NULL_CODE {
-                        Value::Null
-                    } else {
-                        Value::Text(col.dict_str(code).to_owned())
-                    });
-                }
-            }
-            BuilderState::Mixed(existing) => cells = existing,
-        }
-        cells
-    }
-
-    /// Finish the column. Equals `Column::from_cells` over the same cell
-    /// sequence, bit for bit.
-    pub fn finish(self) -> Column {
-        match self.state {
-            // All-NULL (or empty) columns have nothing to type — the same
-            // Mixed fallback `from_cells` takes.
-            BuilderState::Undecided => Column::Mixed(vec![Value::Null; self.len]),
-            BuilderState::Int { values, nulls } => Column::Int { values, nulls },
-            BuilderState::Float { values, nulls } => Column::Float { values, nulls },
-            BuilderState::Bool { values, nulls } => Column::Bool { values, nulls },
-            BuilderState::Text { col, .. } => Column::Text(col),
-            BuilderState::Mixed(cells) => Column::Mixed(cells),
+            (Column::Mixed { cells: a, .. }, Column::Mixed { cells: b, .. }) => a[..] == b[..n],
+            _ => self.iter().zip(other.iter()).all(|(a, b)| a == b),
         }
     }
 }
@@ -914,21 +790,18 @@ impl<'a> Iterator for ColumnIter<'a> {
 
 impl ExactSizeIterator for ColumnIter<'_> {}
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rows(values: Vec<Value>) -> Vec<Row> {
-        values.into_iter().map(|v| vec![v]).collect()
-    }
-
     #[test]
     fn int_column_round_trips() {
-        let r = rows(vec![Value::Int(1), Value::Null, Value::Int(1), Value::Int(3)]);
-        let c = Column::build(&r, 0);
+        let cells = vec![Value::Int(1), Value::Null, Value::Int(1), Value::Int(3)];
+        let c = Column::from_cells(cells.clone());
         assert!(matches!(c, Column::Int { .. }));
         let back: Vec<Value> = c.iter().map(ValueRef::to_value).collect();
-        assert_eq!(back, vec![Value::Int(1), Value::Null, Value::Int(1), Value::Int(3)]);
+        assert_eq!(back, cells);
         assert_eq!(c.null_count(), 1);
         assert_eq!(c.distinct_count(), 2);
         assert_eq!(c.distinct_values(), vec![Value::Int(1), Value::Int(3)]);
@@ -936,13 +809,12 @@ mod tests {
 
     #[test]
     fn text_column_dictionary_is_first_seen_order() {
-        let r = rows(vec![
+        let c = Column::from_cells(vec![
             Value::Text("b".into()),
             Value::Text("a".into()),
             Value::Null,
             Value::Text("b".into()),
         ]);
-        let c = Column::build(&r, 0);
         let Column::Text(t) = &c else { panic!("expected text column") };
         assert_eq!(t.dict_len(), 2);
         assert_eq!(t.dict_str(0), "b");
@@ -960,16 +832,15 @@ mod tests {
 
     #[test]
     fn mixed_numeric_column_falls_back() {
-        let r = rows(vec![Value::Int(1), Value::Float(2.5)]);
-        let c = Column::build(&r, 0);
-        assert!(matches!(c, Column::Mixed(_)));
+        let c = Column::from_cells(vec![Value::Int(1), Value::Float(2.5)]);
+        assert!(matches!(c, Column::Mixed { .. }));
         assert_eq!(c.distinct_count(), 2);
     }
 
     #[test]
     fn all_null_column_is_mixed_and_has_no_distincts() {
-        let r = rows(vec![Value::Null, Value::Null]);
-        let c = Column::build(&r, 0);
+        let c = Column::from_cells(vec![Value::Null, Value::Null]);
+        assert!(matches!(c, Column::Mixed { .. }));
         assert_eq!(c.len(), 2);
         assert_eq!(c.null_count(), 2);
         assert_eq!(c.distinct_count(), 0);
@@ -978,10 +849,9 @@ mod tests {
 
     #[test]
     fn float_distincts_are_bit_exact() {
-        let r = rows(vec![Value::Float(0.0), Value::Float(-0.0), Value::Float(0.0)]);
-        let c = Column::build(&r, 0);
-        // -0.0 and 0.0 differ under Value's total ordering; the columnar
-        // path must agree.
+        let c = Column::from_cells(vec![Value::Float(0.0), Value::Float(-0.0), Value::Float(0.0)]);
+        // -0.0 and 0.0 differ under Value's total ordering; the column
+        // must agree.
         assert_eq!(c.distinct_count(), 2);
     }
 
@@ -999,54 +869,84 @@ mod tests {
 
     #[test]
     fn from_cells_matches_row_major_build() {
-        let shapes: Vec<Vec<Value>> = vec![
-            vec![Value::Int(1), Value::Null, Value::Int(3)],
-            vec![Value::Text("b".into()), Value::Text("a".into()), Value::Null],
-            vec![Value::Float(1.5), Value::Null],
-            vec![Value::Bool(true), Value::Bool(false)],
-            vec![Value::Int(1), Value::Text("x".into())],
-            vec![Value::Null, Value::Null],
-            vec![],
+        // Row by row, `Instance::insert` builds each attribute's column;
+        // loading the same cells column-wise must give the same column.
+        use crate::{AttrId, DataType, Instance, Schema, Table, TableId, Attribute};
+        let shapes: Vec<(DataType, Vec<Value>)> = vec![
+            (DataType::Integer, vec![Value::Int(1), Value::Null, Value::Int(3)]),
+            (DataType::Text, vec![Value::Text("b".into()), Value::Text("a".into()), Value::Null]),
+            (DataType::Float, vec![Value::Float(1.5), Value::Null]),
+            (DataType::Float, vec![Value::Int(1), Value::Float(2.5)]),
+            (DataType::Boolean, vec![Value::Bool(true), Value::Bool(false)]),
+            (DataType::Text, vec![Value::Null, Value::Null]),
+            (DataType::Integer, vec![]),
         ];
-        for cells in shapes {
-            let r: Vec<Row> = cells.iter().map(|v| vec![v.clone()]).collect();
-            assert_eq!(Column::from_cells(cells), Column::build(&r, 0));
+        for (datatype, cells) in shapes {
+            let mut schema = Schema::new("s");
+            schema.add_table(Table::new("t", vec![Attribute::new("a", datatype)])).unwrap();
+            let mut instance = Instance::empty(&schema);
+            for cell in &cells {
+                instance.insert(&schema, TableId(0), vec![cell.clone()]).unwrap();
+            }
+            let row_built = instance.table(TableId(0)).column_store(AttrId(0)).unwrap();
+            assert_eq!(row_built, &Column::from_cells(cells));
         }
     }
 
     #[test]
-    fn builder_matches_from_cells_across_shapes() {
-        let shapes: Vec<Vec<Value>> = vec![
-            vec![Value::Int(1), Value::Null, Value::Int(3)],
-            vec![Value::Null, Value::Null, Value::Int(7)], // leading nulls replayed
-            vec![Value::Text("b".into()), Value::Text("a".into()), Value::Text("b".into())],
-            vec![Value::Null, Value::Text("x".into()), Value::Null],
-            vec![Value::Float(1.5), Value::Null, Value::Float(-2.25)],
-            vec![Value::Bool(true), Value::Null, Value::Bool(false)],
-            vec![Value::Int(1), Value::Float(2.0)],          // demote Int -> Mixed
-            vec![Value::Text("t".into()), Value::Int(9)],    // demote Text -> Mixed
-            vec![Value::Null, Value::Bool(true), Value::Text("m".into())],
-            vec![Value::Null, Value::Null],
-            vec![],
+    fn push_types_every_corner_shape() {
+        let shapes: Vec<(Vec<Value>, &str)> = vec![
+            (vec![Value::Int(1), Value::Null, Value::Int(3)], "integer column"),
+            (vec![Value::Null, Value::Null, Value::Int(7)], "integer column"), // leading nulls replayed
+            (
+                vec![Value::Text("b".into()), Value::Text("a".into()), Value::Text("b".into())],
+                "text column",
+            ),
+            (vec![Value::Null, Value::Text("x".into()), Value::Null], "text column"),
+            (vec![Value::Float(1.5), Value::Null, Value::Float(-2.25)], "float column"),
+            (vec![Value::Bool(true), Value::Null, Value::Bool(false)], "boolean column"),
+            (vec![Value::Int(1), Value::Float(2.0)], "mixed column"), // demote Int -> Mixed
+            (vec![Value::Text("t".into()), Value::Int(9)], "mixed column"), // demote Text -> Mixed
+            (vec![Value::Null, Value::Bool(true), Value::Text("m".into())], "mixed column"),
+            (vec![Value::Int(1), Value::Text("x".into()), Value::Null, Value::Int(2)], "mixed column"),
+            (vec![Value::Null, Value::Null], "mixed column"),
+            (vec![], "mixed column"),
         ];
-        for cells in shapes {
-            let mut b = ColumnBuilder::with_capacity(cells.len());
+        for (cells, label) in shapes {
+            let mut col = Column::default();
             for c in &cells {
-                b.push(c.clone());
+                col.push(ValueRef::of(c));
             }
-            assert_eq!(b.len(), cells.len());
-            assert_eq!(b.finish(), Column::from_cells(cells));
+            assert_eq!(col.type_label(), label, "{cells:?}");
+            assert_eq!(col.len(), cells.len());
+            assert_eq!(col.null_count(), cells.iter().filter(|v| v.is_null()).count());
+            assert!(col.iter().eq(cells.iter().map(ValueRef::of)), "{cells:?}");
         }
+    }
+
+    #[test]
+    fn long_null_runs_before_mixed_cells_build_in_linear_time() {
+        // "Still all NULL?" is answered by a count, not a scan: scanning
+        // the leading NULLs on every push would take ~10^10 steps here.
+        let n = 100_000;
+        let mut col = Column::default();
+        for _ in 0..n {
+            col.push(ValueRef::Null);
+        }
+        for i in 0..n {
+            col.push(if i % 2 == 0 { ValueRef::Int(i as i64) } else { ValueRef::Text("x") });
+        }
+        assert_eq!(col.type_label(), "mixed column");
+        assert_eq!((col.len(), col.null_count()), (2 * n, n));
     }
 
     #[test]
     fn builder_preserves_nan_bits() {
         // Column's derived PartialEq follows f64 semantics (NaN != NaN),
         // so NaN round-trips are checked at the bit level instead.
-        let mut b = ColumnBuilder::new();
-        b.push(Value::Float(f64::NAN));
-        b.push(Value::Null);
-        let col = b.finish();
+        let mut col = Column::default();
+        col.push(ValueRef::Float(f64::NAN));
+        col.push(ValueRef::Null);
         let Column::Float { values, nulls } = col else { panic!("expected float column") };
         assert_eq!(values[0].to_bits(), f64::NAN.to_bits());
         assert!(!nulls.is_null(0) && nulls.is_null(1));
@@ -1054,17 +954,22 @@ mod tests {
 
     #[test]
     fn builder_bitmap_is_word_exact_across_boundaries() {
-        // 130 rows crosses two u64 word boundaries; the incremental
-        // bitmap must equal the batch one structurally (PartialEq
+        // 130 rows crosses two u64 word boundaries; the bitmap grown one
+        // row at a time must equal a bitmap sized up front (PartialEq
         // compares the words vec, so trailing-word discipline matters).
+        // The leading 70 NULLs are replayed when the first integer types
+        // the column.
         let cells: Vec<Value> = (0..130)
-            .map(|i| if i % 3 == 0 { Value::Null } else { Value::Int(i) })
+            .map(|i| if i < 70 || i % 3 == 0 { Value::Null } else { Value::Int(i) })
             .collect();
-        let mut b = ColumnBuilder::new();
-        for c in &cells {
-            b.push(c.clone());
+        let Column::Int { nulls, .. } = Column::from_cells(cells.clone()) else {
+            panic!("expected integer column")
+        };
+        let mut expected = NullBitmap::new(cells.len());
+        for (i, _) in cells.iter().enumerate().filter(|(_, v)| v.is_null()) {
+            expected.set(i);
         }
-        assert_eq!(b.finish(), Column::from_cells(cells));
+        assert_eq!(nulls, expected);
     }
 
     #[test]
@@ -1142,20 +1047,32 @@ mod tests {
 
     #[test]
     fn bit_eq_mirrors_value_total_equality() {
-        assert!(ValueRef::Null.bit_eq(ValueRef::Null));
-        assert!(ValueRef::Float(f64::NAN).bit_eq(ValueRef::Float(f64::NAN)));
-        assert!(!ValueRef::Float(0.0).bit_eq(ValueRef::Float(-0.0)));
-        assert!(!ValueRef::Int(1).bit_eq(ValueRef::Float(1.0)));
-        assert!(ValueRef::Text("x").bit_eq(ValueRef::Text("x")));
-        assert!(!ValueRef::Bool(true).bit_eq(ValueRef::Null));
+        assert_eq!(ValueRef::Null, ValueRef::Null);
+        assert_eq!(ValueRef::Float(f64::NAN), ValueRef::Float(f64::NAN));
+        assert_ne!(ValueRef::Float(0.0), ValueRef::Float(-0.0));
+        assert_ne!(ValueRef::Int(1), ValueRef::Float(1.0));
+        assert_eq!(ValueRef::Text("x"), ValueRef::Text("x"));
+        assert_ne!(ValueRef::Bool(true), ValueRef::Null);
+        // Hashing agrees with equality.
+        let set: std::collections::HashSet<ValueRef<'_>> =
+            [ValueRef::Float(f64::NAN), ValueRef::Float(f64::NAN), ValueRef::Float(-0.0)]
+                .into_iter()
+                .collect();
+        assert_eq!(set.len(), 2);
     }
 
     #[test]
     fn row_backed_iteration_matches_columnar() {
-        let r = rows(vec![Value::Text("x".into()), Value::Null, Value::Text("y".into())]);
-        let c = Column::build(&r, 0);
-        let a: Vec<Value> = c.iter().map(ValueRef::to_value).collect();
-        let b: Vec<Value> = r.iter().map(|row| row[0].clone()).collect();
-        assert_eq!(a, b);
+        // The row view a table derives from its columns reads the same
+        // cells as iterating each column.
+        let id = Column::from_cells(vec![Value::Int(1), Value::Null, Value::Int(2)]);
+        let name = Column::from_cells(vec![Value::Text("x".into()), Value::Null, Value::Text("y".into())]);
+        let data = crate::TableData::from_columns(vec![id.clone(), name.clone()]).unwrap();
+        let rows: Vec<Vec<Value>> = data.rows().collect();
+        for (attr, col) in [id, name].iter().enumerate() {
+            let via_rows: Vec<Value> = rows.iter().map(|row| row[attr].clone()).collect();
+            let via_column: Vec<Value> = col.iter().map(ValueRef::to_value).collect();
+            assert_eq!(via_rows, via_column);
+        }
     }
 }

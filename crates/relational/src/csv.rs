@@ -10,7 +10,7 @@ use crate::database::Database;
 use crate::datatype::DataType;
 use crate::error::{Error, Result};
 use crate::instance::Row;
-use crate::schema::{Attribute, Schema, Table, TableId};
+use crate::schema::{AttrId, Attribute, Schema, Table, TableId};
 use crate::value::Value;
 
 /// Parse CSV text into a header and string records.
@@ -175,10 +175,11 @@ pub fn write_table(db: &Database, table: TableId) -> String {
             .join(","),
     );
     out.push('\n');
-    for row in db.instance.table(table).rows() {
+    let data = db.instance.table(table);
+    for i in 0..data.len() {
         out.push_str(
-            &row.iter()
-                .map(|v| escape(&v.render()))
+            &(0..t.arity())
+                .map(|a| escape(&data.value(i, AttrId(a)).render()))
                 .collect::<Vec<_>>()
                 .join(","),
         );
@@ -243,7 +244,7 @@ mod tests {
             DataType::Text
         );
         assert_eq!(
-            db.instance.table(tid).rows()[0][0],
+            db.instance.table(tid).value(0, AttrId(0)).to_value(),
             Value::Text("1".into())
         );
     }
@@ -253,7 +254,7 @@ mod tests {
         let text = "a,b\n1,\n,2\n";
         let db = load_table("t", "n", text).unwrap();
         let tid = db.schema.table_id("n").unwrap();
-        assert!(db.instance.table(tid).rows()[0][1].is_null());
-        assert!(db.instance.table(tid).rows()[1][0].is_null());
+        assert!(db.instance.table(tid).value(0, AttrId(1)).is_null());
+        assert!(db.instance.table(tid).value(1, AttrId(0)).is_null());
     }
 }

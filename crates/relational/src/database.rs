@@ -49,9 +49,8 @@ impl Database {
 
     /// Replace the named table's data with pre-built typed columns (one
     /// per attribute, in declaration order), with arity and type
-    /// checking. The columnar cache is seeded with the given columns, so
-    /// downstream profiling never rebuilds them — the bulk-load twin of
-    /// [`Database::insert_by_name`].
+    /// checking. The columns become the table's storage as they are —
+    /// the bulk-load twin of [`Database::insert_by_name`].
     pub fn load_columns_by_name(
         &mut self,
         table: &str,

@@ -7,119 +7,56 @@ use crate::schema::{AttrId, Schema, TableId};
 use crate::value::Value;
 use serde::{content_get, Content, DeError, Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
-use std::sync::OnceLock;
 
 /// One tuple of a relation.
 pub type Row = Vec<Value>;
 
-/// The data of a single table, held in whichever representation it
-/// arrived in — row-major rows or typed [`Column`]s — with the other
-/// derived lazily, at most once.
+/// The data of a single table: one typed [`Column`] per attribute, all
+/// of the same length, and nothing else.
 ///
-/// Row-built tables (inserts, CSV loads, deserialization) keep rows as
-/// the source of truth and build their columnar mirror on first columnar
-/// read, per attribute. Column-built tables
-/// ([`TableData::from_columns`], the generators and the ingest path)
-/// keep the typed columns as the source of truth and derive the
-/// row-major view only if a row-shaped consumer (constraint validation,
-/// serialization) actually asks — the inverse relationship, so streaming
-/// ingest never pays a row-major detour. At least one representation is
-/// always present. Mutation through [`Instance::insert`] materialises
-/// rows and invalidates the columnar cache wholesale — the workload is
-/// load-then-analyse, so rebuilds are rare.
-#[derive(Debug)]
+/// Every way of filling a table — [`Instance::insert`] row by row,
+/// [`Instance::load_columns`] column by column, CSV loads,
+/// [`DatabaseBuilder`](crate::DatabaseBuilder), the ingest parser —
+/// grows its columns with [`Column::push`], so equal cells make equal
+/// columns whichever way they arrived. Readers take a column
+/// ([`TableData::column_store`], [`TableData::column`]) or one cell
+/// ([`TableData::value`]); [`TableData::rows`] materialises rows one at
+/// a time on demand and keeps none.
+///
+/// The arity comes from the schema: [`Instance::empty`] gives every
+/// table one empty column per attribute. The exception is a
+/// deserialized table without rows — `{"rows": []}` carries no arity —
+/// which holds no columns until its first insert.
+#[derive(Debug, Clone, Default)]
 pub struct TableData {
-    rows: OnceLock<Vec<Row>>,
-    /// Per-attribute typed columns. Outer cell resolves the table's
-    /// arity, inner cells build one column each, so a consumer touching
-    /// one attribute does not pay for the others. For column-built
-    /// tables every inner cell is pre-seeded.
-    columns: OnceLock<Vec<OnceLock<Column>>>,
-}
-
-impl Default for TableData {
-    fn default() -> Self {
-        TableData::from_rows(Vec::new())
-    }
-}
-
-impl Clone for TableData {
-    fn clone(&self) -> Self {
-        match self.rows.get() {
-            // Row-primary: the columnar mirror is a pure cache; a clone
-            // rebuilds it on first use instead of copying arenas.
-            Some(rows) => TableData::from_rows(rows.clone()),
-            // Column-primary: the columns are the source of truth; clone
-            // them and leave the row view lazy.
-            None => {
-                let slots: Vec<OnceLock<Column>> = self
-                    .column_slots()
-                    .iter()
-                    .map(|slot| {
-                        OnceLock::from(slot.get().expect("column-primary slots are set").clone())
-                    })
-                    .collect();
-                let data = TableData {
-                    rows: OnceLock::new(),
-                    columns: OnceLock::new(),
-                };
-                let _ = data.columns.set(slots);
-                data
-            }
-        }
-    }
-}
-
-/// Cell equality under [`Value`] semantics: floats compare by
-/// [`f64::total_cmp`] (NaN equals NaN, `-0.0` differs from `0.0`),
-/// cross-variant cells are never equal.
-fn cell_eq(a: ValueRef<'_>, b: ValueRef<'_>) -> bool {
-    match (a, b) {
-        (ValueRef::Float(x), ValueRef::Float(y)) => x.total_cmp(&y).is_eq(),
-        _ => a == b,
-    }
+    columns: Vec<Column>,
 }
 
 impl PartialEq for TableData {
+    /// Cell-wise equality under [`Value`] semantics (floats bit-exact,
+    /// cross-variant cells never equal). Tables without rows are equal
+    /// whatever their arity, which rows cannot show.
     fn eq(&self, other: &Self) -> bool {
-        // When both sides are column-primary (the dedup-check hot case),
-        // compare cell-wise through the columns without materialising a
-        // row in sight; any row-primary side falls back to the row
-        // comparison, deriving the other side's rows if needed.
-        if self.rows.get().is_none() && other.rows.get().is_none() {
-            if self.len() != other.len() {
-                return false;
-            }
-            let (a, b) = (self.column_slots(), other.column_slots());
-            if self.is_empty() {
-                // No cells to compare; arity is unobservable through
-                // rows, matching the row-major `[] == []`.
-                return true;
-            }
-            if a.len() != b.len() {
-                return false;
-            }
-            return a.iter().zip(b).all(|(sa, sb)| {
-                let (ca, cb) = (sa.get().unwrap(), sb.get().unwrap());
-                (0..ca.len()).all(|i| cell_eq(ca.value(i), cb.value(i)))
-            });
-        }
-        self.rows() == other.rows()
+        self.len() == other.len()
+            && (self.is_empty()
+                || (self.columns.len() == other.columns.len()
+                    && self
+                        .columns
+                        .iter()
+                        .zip(&other.columns)
+                        .all(|(a, b)| a.iter().eq(b.iter()))))
     }
 }
 
 impl Eq for TableData {}
 
-// Hand-written to keep the wire format of the old `#[derive]` on the
-// row-major field — `{"rows": [...]}` — regardless of which
-// representation is primary. Serializing a column-built table derives
-// its rows first (golden scenario dumps are row-shaped and must stay
-// byte-identical); deserialization always lands row-primary.
+// Hand-written to keep the row-major wire format `{"rows": [...]}`:
+// golden scenario dumps are row-shaped and must stay byte-identical.
 impl Serialize for TableData {
     fn to_content(&self) -> Content {
         Content::Map(vec![(
             Content::Str("rows".into()),
-            self.rows().to_content(),
+            Content::Seq(self.rows().map(|row| row.to_content()).collect()),
         )])
     }
 }
@@ -129,37 +66,34 @@ impl Deserialize for TableData {
         let map = content
             .as_map()
             .ok_or_else(|| DeError::expected("JSON object for `TableData`"))?;
-        match content_get(map, "rows") {
-            Some(v) => Ok(TableData::from_rows(Vec::<Row>::from_content(v)?)),
-            None => Err(DeError::missing_field("TableData", "rows")),
+        let rows = match content_get(map, "rows") {
+            Some(v) => Vec::<Row>::from_content(v)?,
+            None => return Err(DeError::missing_field("TableData", "rows")),
+        };
+        let mut data = TableData::with_arity(rows.first().map_or(0, Vec::len));
+        for (i, row) in rows.iter().enumerate() {
+            if row.len() != data.columns.len() {
+                return Err(DeError::custom(format!(
+                    "`TableData` row {i} has {} cells, row 0 has {}",
+                    row.len(),
+                    data.columns.len()
+                )));
+            }
+            data.push(row);
         }
+        Ok(data)
     }
 }
 
 impl TableData {
-    /// Empty table data.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build row-primary table data (row shape is checked by the
-    /// callers that have a schema in hand, e.g. [`Instance::insert`]).
-    pub fn from_rows(rows: Vec<Row>) -> Self {
+    /// An empty table of `arity` attributes.
+    fn with_arity(arity: usize) -> Self {
         TableData {
-            rows: OnceLock::from(rows),
-            columns: OnceLock::new(),
+            columns: (0..arity).map(|_| Column::default()).collect(),
         }
     }
 
-    /// Build column-primary table data from pre-built typed columns, one
-    /// per attribute.
-    ///
-    /// The columns *are* the data: no row-major copy is made, and none
-    /// ever will be unless a row-shaped consumer asks ([`TableData::rows`]
-    /// derives them lazily, at most once). Because [`Column::from_cells`]
-    /// / [`crate::ColumnBuilder`] and the lazy rebuild share one build
-    /// core, a column loaded here is indistinguishable from one rebuilt
-    /// off derived rows.
+    /// Table data made of pre-built typed columns, one per attribute.
     ///
     /// Fails with [`Error::ColumnShape`] if the columns disagree on row
     /// count.
@@ -171,62 +105,35 @@ impl TableData {
                 actual: odd.len(),
             });
         }
-        let data = TableData {
-            rows: OnceLock::new(),
-            columns: OnceLock::new(),
-        };
-        let slots: Vec<OnceLock<Column>> = columns.into_iter().map(OnceLock::from).collect();
-        let _ = data.columns.set(slots);
-        Ok(data)
+        Ok(TableData { columns })
     }
 
-    /// The column slots of a column-primary table (invariant: when rows
-    /// are unset, the slots exist and are all seeded).
-    fn column_slots(&self) -> &[OnceLock<Column>] {
-        self.columns
-            .get()
-            .expect("TableData invariant: rows or columns are set")
-    }
-
-    /// Append a row (shape is checked by [`Instance::insert`]).
-    ///
-    /// Materialises the row view if the table was column-built, then
-    /// invalidates the columnar cache wholesale.
-    fn push(&mut self, row: Row) {
-        self.rows();
-        self.rows
-            .get_mut()
-            .expect("rows were just materialised")
-            .push(row);
-        self.columns = OnceLock::new();
-    }
-
-    /// All rows in insertion order, deriving them from the columns (at
-    /// most once) for column-built tables.
-    pub fn rows(&self) -> &[Row] {
-        self.rows.get_or_init(|| {
-            let slots = self.column_slots();
-            let cols: Vec<&Column> = slots
-                .iter()
-                .map(|s| s.get().expect("column-primary slots are set"))
-                .collect();
-            let len = cols.first().map(|c| c.len()).unwrap_or(0);
-            (0..len)
-                .map(|i| cols.iter().map(|c| c.value(i).to_value()).collect())
-                .collect()
-        })
-    }
-
-    /// Number of rows (without materialising either representation).
-    pub fn len(&self) -> usize {
-        match self.rows.get() {
-            Some(rows) => rows.len(),
-            None => self
-                .column_slots()
-                .first()
-                .map(|s| s.get().expect("column-primary slots are set").len())
-                .unwrap_or(0),
+    /// Append a row, one cell per column (shape is checked by
+    /// [`Instance::insert`]).
+    fn push(&mut self, row: &[Value]) {
+        debug_assert_eq!(row.len(), self.columns.len(), "row shape is checked by the caller");
+        for (col, cell) in self.columns.iter_mut().zip(row) {
+            col.push(ValueRef::of(cell));
         }
+    }
+
+    /// The rows in insertion order, each materialised from the columns
+    /// when the iterator reaches it — a row-major view for
+    /// serialization, reports and tests. Nothing keeps them.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = Row> + '_ {
+        (0..self.len()).map(|i| self.columns.iter().map(|c| c.value(i).to_value()).collect())
+    }
+
+    /// The cell at `row` of attribute `attr`.
+    ///
+    /// Panics if either is out of range.
+    pub fn value(&self, row: usize, attr: AttrId) -> ValueRef<'_> {
+        self.columns[attr.0].value(row)
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.columns.first().map_or(0, Column::len)
     }
 
     /// `true` iff the table holds no rows.
@@ -234,36 +141,22 @@ impl TableData {
         self.len() == 0
     }
 
-    /// The typed columnar store of one attribute, building (and caching)
-    /// it on first access. `None` for out-of-range attributes and for
-    /// row-built tables that hold no rows (an empty row-major table has
-    /// unknowable arity).
+    /// The typed column of one attribute. `None` for out-of-range
+    /// attributes (and so for every attribute of a deserialized table
+    /// without rows, see the type docs).
     pub fn column_store(&self, attr: AttrId) -> Option<&Column> {
-        let slots = match self.columns.get() {
-            Some(slots) => slots,
-            None => {
-                let arity = self
-                    .rows
-                    .get()
-                    .expect("TableData invariant: rows or columns are set")
-                    .first()
-                    .map(Vec::len)?;
-                self.columns
-                    .get_or_init(|| (0..arity).map(|_| OnceLock::new()).collect())
-            }
-        };
-        slots
-            .get(attr.0)
-            .map(|slot| slot.get_or_init(|| Column::build(self.rows(), attr.0)))
+        self.columns.get(attr.0)
     }
 
-    /// Iterate over the values of one column, in row order, from the
-    /// columnar store.
+    /// Iterate over the values of one column, in row order.
     pub fn column(&self, attr: AttrId) -> ColumnIter<'_> {
-        match self.column_store(attr) {
-            Some(col) => col.iter(),
-            None => Column::empty().iter(),
-        }
+        self.column_store(attr).unwrap_or(Column::empty()).iter()
+    }
+
+    /// Approximate heap bytes of the table's data: the sum of
+    /// [`Column::heap_bytes`] over its columns.
+    pub fn heap_bytes(&self) -> usize {
+        self.columns.iter().map(Column::heap_bytes).sum()
     }
 }
 
@@ -295,12 +188,16 @@ impl Instance {
     /// An empty instance shaped for `schema`.
     pub fn empty(schema: &Schema) -> Self {
         Instance {
-            tables: (0..schema.table_count()).map(|_| TableData::new()).collect(),
+            tables: schema
+                .tables()
+                .iter()
+                .map(|t| TableData::with_arity(t.arity()))
+                .collect(),
         }
     }
 
     /// Insert a row after checking arity and declared types against
-    /// `schema`.
+    /// `schema`, appending each cell to its attribute's column.
     pub fn insert(&mut self, schema: &Schema, table: TableId, row: Row) -> Result<()> {
         let t = schema.table(table);
         if row.len() != t.arity() {
@@ -321,7 +218,12 @@ impl Instance {
                 });
             }
         }
-        self.tables[table.0].push(row);
+        let data = &mut self.tables[table.0];
+        if data.is_empty() {
+            // A deserialized table without rows has no columns yet.
+            data.columns.resize_with(t.arity(), Column::default);
+        }
+        data.push(&row);
         Ok(())
     }
 
@@ -353,7 +255,7 @@ impl Instance {
                 Column::Float { .. } => attr.datatype.admits(&Value::Float(0.0)),
                 Column::Text(_) => attr.datatype == crate::datatype::DataType::Text,
                 Column::Bool { .. } => attr.datatype == crate::datatype::DataType::Boolean,
-                Column::Mixed(cells) => cells.iter().all(|v| attr.datatype.admits(v)),
+                Column::Mixed { cells, .. } => cells.iter().all(|v| attr.datatype.admits(v)),
             };
             if !ok {
                 return Err(Error::TypeMismatch {
@@ -424,8 +326,8 @@ impl Instance {
     fn check_constraint(&self, schema: &Schema, c: &Constraint, out: &mut Vec<Violation>) {
         match &c.kind {
             ConstraintKind::NotNull { table, attr } => {
-                for (i, row) in self.table(*table).rows().iter().enumerate() {
-                    if row[attr.0].is_null() {
+                for (i, v) in self.table(*table).column(*attr).enumerate() {
+                    if v.is_null() {
                         out.push(Violation {
                             constraint: c.name.clone(),
                             table: *table,
@@ -437,9 +339,10 @@ impl Instance {
             }
             ConstraintKind::PrimaryKey { table, attrs } | ConstraintKind::Unique { table, attrs } => {
                 let is_pk = matches!(c.kind, ConstraintKind::PrimaryKey { .. });
-                let mut seen: HashMap<Vec<&Value>, usize> = HashMap::new();
-                for (i, row) in self.table(*table).rows().iter().enumerate() {
-                    let key: Vec<&Value> = attrs.iter().map(|a| &row[a.0]).collect();
+                let data = self.table(*table);
+                let mut seen: HashMap<Vec<ValueRef<'_>>, usize> = HashMap::new();
+                for i in 0..data.len() {
+                    let key: Vec<ValueRef<'_>> = attrs.iter().map(|a| data.value(i, *a)).collect();
                     if is_pk && key.iter().any(|v| v.is_null()) {
                         out.push(Violation {
                             constraint: c.name.clone(),
@@ -469,14 +372,12 @@ impl Instance {
                 to_table,
                 to_attrs,
             } => {
-                let referenced: HashSet<Vec<&Value>> = self
-                    .table(*to_table)
-                    .rows()
-                    .iter()
-                    .map(|row| to_attrs.iter().map(|a| &row[a.0]).collect())
+                let (to, from) = (self.table(*to_table), self.table(*from_table));
+                let referenced: HashSet<Vec<ValueRef<'_>>> = (0..to.len())
+                    .map(|i| to_attrs.iter().map(|a| to.value(i, *a)).collect())
                     .collect();
-                for (i, row) in self.table(*from_table).rows().iter().enumerate() {
-                    let key: Vec<&Value> = from_attrs.iter().map(|a| &row[a.0]).collect();
+                for i in 0..from.len() {
+                    let key: Vec<ValueRef<'_>> = from_attrs.iter().map(|a| from.value(i, *a)).collect();
                     // SQL MATCH SIMPLE: any NULL component satisfies the FK.
                     if key.iter().any(|v| v.is_null()) {
                         continue;
@@ -589,20 +490,36 @@ mod tests {
     }
 
     #[test]
-    fn from_columns_derives_rows_and_seeds_cache() {
+    fn from_columns_keeps_the_columns_and_derives_rows() {
         let id = Column::from_cells(vec![1.into(), 2.into()]);
         let title = Column::from_cells(vec!["A".into(), Value::Null]);
         let data = TableData::from_columns(vec![id.clone(), title.clone()]).unwrap();
         assert_eq!(
-            data.rows(),
-            &[vec![Value::Int(1), Value::Text("A".into())], vec![Value::Int(2), Value::Null]]
+            data.rows().collect::<Vec<_>>(),
+            [vec![Value::Int(1), Value::Text("A".into())], vec![Value::Int(2), Value::Null]]
         );
-        // The cache is pre-seeded: the store is the very column we loaded.
+        // The store is the very column we loaded, and a clone keeps it.
         assert_eq!(data.column_store(AttrId(0)), Some(&id));
-        assert_eq!(data.column_store(AttrId(1)), Some(&title));
-        // And it equals what a lazy rebuild from the rows would produce.
-        let rebuilt = data.clone();
-        assert_eq!(rebuilt.column_store(AttrId(1)), Some(&title));
+        assert_eq!(data.clone().column_store(AttrId(1)), Some(&title));
+        assert_eq!(data.value(0, AttrId(1)), ValueRef::Text("A"));
+        assert!(data.value(1, AttrId(1)).is_null());
+    }
+
+    #[test]
+    fn deserialized_tables_take_their_shape_from_the_rows() {
+        let ragged = serde_json::from_str::<TableData>(r#"{"rows":[[{"Int":1}],[]]}"#);
+        assert!(ragged.is_err());
+        // An empty table carries no arity; its first insert shapes it.
+        let mut database = db();
+        let json = serde_json::to_string(&database.instance).unwrap();
+        let mut instance: Instance = serde_json::from_str(&json).unwrap();
+        assert_eq!(instance, database.instance);
+        let t = database.schema.table_id("tracks").unwrap();
+        instance.tables[t.0] = serde_json::from_str(r#"{"rows":[]}"#).unwrap();
+        instance.insert(&database.schema, t, vec![2.into(), "y".into()]).unwrap();
+        database.instance = instance;
+        assert!(database.instance.table(t).rows().eq([vec![Value::Int(2), Value::Text("y".into())]]));
+        assert!(database.validate().is_empty());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * declarative [`Constraint`]s (primary key, foreign key, unique,
 //!   not-null),
 //! * [`Instance`]s (the data) with full constraint validation,
-//! * a typed, dictionary-encoded [`Column`]ar mirror of every table,
-//!   built lazily for the profiling hot path,
+//! * typed, dictionary-encoded [`Column`]s — the only storage of every
+//!   table's data,
 //! * [`Database`] = schema + constraints + instance,
 //! * the [`IntegrationScenario`] model: source databases, a target database
 //!   and [`Correspondence`]s between their schema elements,
@@ -40,7 +40,7 @@ pub mod value;
 
 pub use builder::{DatabaseBuilder, TableBuilder};
 pub use constraint::{Constraint, ConstraintKind, ConstraintSet};
-pub use column::{Column, ColumnBuilder, ColumnIter, TextColumn, ValueRef};
+pub use column::{Column, ColumnIter, TextColumn, ValueRef};
 pub use database::Database;
 pub use datatype::DataType;
 pub use error::{Error, Result};

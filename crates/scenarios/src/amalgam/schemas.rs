@@ -736,11 +736,11 @@ mod tests {
         let sizes = BibSizes::small();
         let s2 = build_s2(&sizes, &mut rng());
         let (t, a) = s2.schema.resolve("publications", "pages").unwrap();
-        let sample = s2.instance.table(t).rows()[0][a.0].render();
+        let sample = s2.instance.table(t).value(0, a).render();
         assert!(sample.starts_with("pp. "), "{sample}");
         let s3 = build_s3(&sizes, &mut rng());
         let (t, a) = s3.schema.resolve("authors", "name").unwrap();
-        let sample = s3.instance.table(t).rows()[0][a.0].render();
+        let sample = s3.instance.table(t).value(0, a).render();
         assert!(sample.contains(", "), "{sample}");
     }
 }

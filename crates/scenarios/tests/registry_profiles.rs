@@ -20,11 +20,12 @@ fn check_database(db: &Database, label: &str) -> usize {
     let mut checked = 0;
     for (ti, table) in db.schema.tables().iter().enumerate() {
         let data = db.instance.table(TableId(ti));
+        let rows: Vec<_> = data.rows().collect();
         for ai in 0..table.arity() {
             let Some(col) = data.column_store(AttrId(ai)) else {
                 continue;
             };
-            let cells = || data.rows().iter().map(move |row| &row[ai]);
+            let cells = || rows.iter().map(move |row| &row[ai]);
             for rt in [
                 DataType::Text,
                 DataType::Integer,

@@ -44,7 +44,7 @@ impl Histogram {
     }
 }
 
-/// Counter indices for [`Metrics::requests_total`].
+/// Counter indices for [`Metrics::requests`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
     /// `POST /estimate`

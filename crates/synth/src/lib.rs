@@ -16,7 +16,7 @@
 //!
 //! ## Determinism
 //!
-//! Everything flows from a single [`rand::StdRng`] seeded with
+//! Everything flows from a single [`rand::rngs::StdRng`] seeded with
 //! [`SynthConfig::seed`]; the generator has no ambient randomness (no
 //! clocks, no hashing nondeterminism — iteration orders are all over
 //! `Vec`s or `BTree` structures). The same configuration therefore
@@ -49,11 +49,10 @@
 //!
 //! ## Columnar streaming
 //!
-//! Fragment data is generated column-wise and loaded through
-//! [`efes_relational::Database::load_columns_by_name`], which derives
-//! the row-major source of truth *and* pre-seeds the typed columnar
-//! cache — profiling a generated scenario never pays a
-//! `Column::build` pass.
+//! Fragment data is generated column-wise, each column built by
+//! [`efes_relational::Column::from_cells`] and loaded through
+//! [`efes_relational::Database::load_columns_by_name`] as the table's
+//! storage — no row-major copy is made at any point.
 
 #![warn(missing_docs)]
 

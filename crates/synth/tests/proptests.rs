@@ -57,7 +57,7 @@ fn check_fragment(db: &Database, dirt: &TableDirt) {
         .table_id(&dirt.table)
         .unwrap_or_else(|| panic!("manifest table `{}` missing from schema", dirt.table));
     let table = db.schema.table(tid);
-    let rows = db.instance.table(tid).rows();
+    let rows: Vec<_> = db.instance.table(tid).rows().collect();
     assert_eq!(rows.len(), dirt.rows, "row count disagrees with manifest");
 
     // Payload columns: NULL and alternate-format sets, by scan.

@@ -30,9 +30,7 @@ fn merge_artist_credits(db: &mut Database) {
         .instance
         .table(credits_t)
         .rows()
-        .iter()
         .filter(|r| seen.insert(r[list_a.0].clone()))
-        .cloned()
         .collect();
     rebuild_table(db, "artist_credits", rows);
 }
@@ -40,22 +38,20 @@ fn merge_artist_credits(db: &mut Database) {
 /// Step 2 — "Add tuples (records)" + "Add missing values (title)": give
 /// every detached artist list an album, titled by the practitioner.
 fn add_albums_for_detached_artists(db: &mut Database) {
-    let (albums_t, _) = db.schema.resolve("albums", "id").unwrap();
-    let (lists_t, _) = db.schema.resolve("artist_lists", "id").unwrap();
+    let (albums_t, album_list_a) = db.schema.resolve("albums", "artist_list").unwrap();
+    let (lists_t, list_id_a) = db.schema.resolve("artist_lists", "id").unwrap();
     let referenced: std::collections::HashSet<i64> = db
         .instance
         .table(albums_t)
-        .rows()
-        .iter()
-        .filter_map(|r| r[2].as_int())
+        .column(album_list_a)
+        .filter_map(|v| v.as_int())
         .collect();
     let first_free_id = db.instance.table(albums_t).len() as i64;
     let detached: Vec<i64> = db
         .instance
         .table(lists_t)
-        .rows()
-        .iter()
-        .filter_map(|r| r[0].as_int())
+        .column(list_id_a)
+        .filter_map(|v| v.as_int())
         .filter(|l| !referenced.contains(l))
         .collect();
     for (next_id, list) in (first_free_id..).zip(detached) {
@@ -79,9 +75,7 @@ fn convert_lengths(db: &mut Database) {
         .instance
         .table(songs_t)
         .rows()
-        .iter()
-        .map(|r| {
-            let mut r = r.clone();
+        .map(|mut r| {
             if let Some(ms) = r[length_a.0].as_int() {
                 r[length_a.0] = efes_scenarios::names::millis_to_mss(ms).into();
             }
@@ -101,7 +95,7 @@ fn rebuild_table(db: &mut Database, table: &str, rows: Vec<Vec<Value>>) {
             continue;
         }
         for row in data.rows() {
-            fresh.insert(&db.schema, t, row.clone()).unwrap();
+            fresh.insert(&db.schema, t, row).unwrap();
         }
     }
     for row in rows {
@@ -143,7 +137,7 @@ fn retype_songs_length_to_text(db: &mut Database, rows: Vec<Vec<Value>>) {
         });
     for table in ["albums", "artist_lists", "artist_credits"] {
         let tid = db.schema.table_id(table).unwrap();
-        b = b.rows(table, db.instance.table(tid).rows().to_vec());
+        b = b.rows(table, db.instance.table(tid).rows().collect());
     }
     b = b.rows("songs", rows);
     *db = b.build().expect("retyped database");
