@@ -9,13 +9,15 @@
 //! For each row count the sweep generates one seeded scenario with
 //! `efes-synth` (fixed shape, default dirt) and times five stages
 //! independently: generation itself, attribute profiling, matcher
-//! scoring, CSG planning (constraint-violation simulation), and the
-//! full sequential estimate. A log-log least-squares fit of median
-//! wall-clock against row count yields each stage's empirical scaling
-//! exponent — `1.0` is linear, `2.0` quadratic. Like `bench_smoke`,
-//! numbers are medians of a handful of runs: indicative trends, not
-//! statistics. The process only fails on build/run errors; exponent
-//! gating is the CI job's concern.
+//! scoring, CSG planning (the structure module's assess + plan, as a
+//! served estimate runs them: source conversion, relationship matching
+//! and conflict detection, then the repair simulation over the
+//! findings), and the full sequential estimate. A log-log least-squares
+//! fit of median wall-clock against row count yields each stage's
+//! empirical scaling exponent — `1.0` is linear, `2.0` quadratic. Like
+//! `bench_smoke`, numbers are medians of a handful of runs: indicative
+//! trends, not statistics. The process only fails on build/run errors;
+//! exponent gating is the CI job's concern.
 
 use efes::modules::StructureModule;
 use efes::prelude::*;
@@ -23,7 +25,6 @@ use efes_bench::Provenance;
 use efes_exec::ExecutionMode;
 use efes_matching::CombinedMatcher;
 use efes_profiling::{AttributeProfile, ProfileCache};
-use efes_relational::SourceId;
 use efes_synth::{SynthConfig, SynthScenario};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -182,9 +183,11 @@ fn main() {
             ));
         }));
         record("csg_planning", median_ns(iters, || {
+            let module = StructureModule::default();
+            let report = module.assess(&out.scenario).expect("assessment succeeds");
             std::hint::black_box(
-                StructureModule::default()
-                    .plan_for_source(&out.scenario, SourceId(0), &est_config())
+                module
+                    .plan(&out.scenario, &report, &est_config())
                     .expect("planning succeeds"),
             );
         }));

@@ -295,11 +295,12 @@ pub trait EstimationModule: Send + Sync {
     ) -> Result<Vec<Task>, ModuleError>;
 
     /// Phase 2, context-aware variant: like [`plan`](Self::plan) but with
-    /// access to the run's [`AssessContext`], so planners that re-derive
-    /// expensive evidence (e.g. conflict detection over large instances)
-    /// can honour cancellation checkpoints. The default ignores the
-    /// context and delegates to `plan`, so existing custom modules keep
-    /// working unchanged. The plan must not depend on `ctx`.
+    /// access to the run's [`AssessContext`]; the estimator calls this.
+    /// The default ignores the context and delegates to `plan`, and no
+    /// built-in module overrides it: each gathers its evidence once, in
+    /// assess (where the cancellation checkpoints sit), and plans from
+    /// its report alone, which is cheap and reads no data. The plan must
+    /// not depend on `ctx`.
     fn plan_with(
         &self,
         scenario: &IntegrationScenario,

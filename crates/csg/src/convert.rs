@@ -22,7 +22,8 @@ use efes_relational::{ConstraintKind, Database};
 pub struct CsgConversion {
     /// The cardinality-constrained schema graph.
     pub csg: Csg,
-    /// Its instance, populated from the database's data.
+    /// Its instance: populated from the database's data by
+    /// [`database_to_csg`], empty from [`schema_to_csg`].
     pub instance: CsgInstance,
     /// Table node per relational table.
     pub table_nodes: Vec<NodeId>,
@@ -54,7 +55,26 @@ impl CsgConversion {
 }
 
 /// Convert a database (schema + constraints + instance) into a CSG with
-/// its instance.
+/// its instance: [`schema_to_csg`] followed by the instance fill.
+pub fn database_to_csg(db: &Database) -> CsgConversion {
+    database_to_csg_ctx(db, &RunContext::unbounded()).expect("unbounded context never cancels")
+}
+
+/// Like [`database_to_csg`], but cancellable: the instance fill — the
+/// only part that scales with row count — ticks `run`'s checkpoint per
+/// cell and per equality link, so conversion of a very large database
+/// aborts promptly when `run` fires.
+pub fn database_to_csg_ctx(db: &Database, run: &RunContext) -> Result<CsgConversion, Cancelled> {
+    let mut conv = schema_to_csg(db);
+    conv.instance = fill_instance(&conv, db, run)?;
+    Ok(conv)
+}
+
+/// The schema half of [`database_to_csg`]: the graph, its prescribed
+/// cardinalities and the identifier maps, over an empty instance. Cost
+/// is independent of the row count. Conflict detection and repair
+/// planning read only the *target's* graph, so the structure module
+/// converts the target this way and never touches its rows.
 ///
 /// Prescribed cardinalities encode the constraints and the two relational
 /// conformity rules (§4.1):
@@ -65,19 +85,8 @@ impl CsgConversion {
 /// | value → tuple | `1` if UNIQUE, else `1..*` | unique; "each attribute value must be contained in a tuple" |
 /// | FK value → PK value (equality) | `1` | foreign key (every fk value equals exactly one referenced value) |
 /// | PK value → FK value (equality) | `0..1` | equality over distinct values is partial-injective |
-pub fn database_to_csg(db: &Database) -> CsgConversion {
-    database_to_csg_ctx(db, &RunContext::unbounded()).expect("unbounded context never cancels")
-}
-
-/// Like [`database_to_csg`], but cancellable: the instance fill — the
-/// only part that scales with row count — ticks `run`'s checkpoint per
-/// cell and per equality link, so conversion of a very large database
-/// aborts promptly when `run` fires.
-pub fn database_to_csg_ctx(db: &Database, run: &RunContext) -> Result<CsgConversion, Cancelled> {
-    let ck = run.checkpoint();
+pub fn schema_to_csg(db: &Database) -> CsgConversion {
     let mut csg = Csg::new(db.schema.name.clone());
-    let mut instance_pending = Vec::new(); // (rel, table, attr) fill later
-
     let mut table_nodes = Vec::new();
     let mut attr_nodes: Vec<Vec<NodeId>> = Vec::new();
     let mut attr_rels: Vec<Vec<RelId>> = Vec::new();
@@ -92,10 +101,7 @@ pub fn database_to_csg_ctx(db: &Database, run: &RunContext) -> Result<CsgConvers
             let aid = AttrId(ai);
             // Qualified names keep node names unique across tables (the
             // paper's Figure 4 uses primes: name, name', name'').
-            let anode = csg.add_node(
-                format!("{}.{}", table.name, attr.name),
-                NodeKind::Attribute,
-            );
+            let anode = csg.add_node(format!("{}.{}", table.name, attr.name), NodeKind::Attribute);
             let fwd = if db.constraints.is_not_null(tid, aid) {
                 Cardinality::one()
             } else {
@@ -107,7 +113,6 @@ pub fn database_to_csg_ctx(db: &Database, run: &RunContext) -> Result<CsgConvers
                 Cardinality::one_or_more()
             };
             let rel = csg.add_relationship(tnode, anode, RelKind::Attribute, fwd, bwd);
-            instance_pending.push((rel, tid, aid));
             anodes.push(anode);
             arels.push(rel);
         }
@@ -140,13 +145,33 @@ pub fn database_to_csg_ctx(db: &Database, run: &RunContext) -> Result<CsgConvers
         }
     }
 
-    // --- Instance ---
-    // Column-major per table: every tuple first, then each attribute's
-    // values in row order. Each node and each relationship still gets its
-    // elements and links in row order, as a row-by-row walk would add them.
-    let mut instance = CsgInstance::empty(&csg);
+    let instance = CsgInstance::empty(&csg);
+    CsgConversion {
+        csg,
+        instance,
+        table_nodes,
+        attr_nodes,
+        attr_rels,
+        fk_rels,
+    }
+}
+
+/// The instance half of [`database_to_csg`]: `db`'s rows as an instance
+/// of `conv`'s graph.
+///
+/// Column-major per table: every tuple first, then each attribute's
+/// values in row order. Each node and each relationship still gets its
+/// elements and links in row order, as a row-by-row walk would add them.
+fn fill_instance(
+    conv: &CsgConversion,
+    db: &Database,
+    run: &RunContext,
+) -> Result<CsgInstance, Cancelled> {
+    let ck = run.checkpoint();
+    let (attr_nodes, attr_rels) = (&conv.attr_nodes, &conv.attr_rels);
+    let mut instance = CsgInstance::empty(&conv.csg);
     for (ti, data) in db.instance.iter_tables() {
-        let tnode = table_nodes[ti.0];
+        let tnode = conv.table_nodes[ti.0];
         let tuples: Vec<u32> = (0..data.len())
             .map(|ri| instance.add_element(tnode, Element::Tuple(ri)))
             .collect();
@@ -173,7 +198,7 @@ pub fn database_to_csg_ctx(db: &Database, run: &RunContext) -> Result<CsgConvers
             for ((fa, ta), (_, rel)) in from_attrs
                 .iter()
                 .zip(to_attrs.iter())
-                .zip(fk_rels.iter().filter(|(name, _)| name == &c.name))
+                .zip(conv.fk_rels.iter().filter(|(name, _)| name == &c.name))
             {
                 let from_node = attr_nodes[from_table.0][fa.0];
                 let to_node = attr_nodes[to_table.0][ta.0];
@@ -192,15 +217,7 @@ pub fn database_to_csg_ctx(db: &Database, run: &RunContext) -> Result<CsgConvers
             }
         }
     }
-
-    Ok(CsgConversion {
-        csg,
-        instance,
-        table_nodes,
-        attr_nodes,
-        attr_rels,
-        fk_rels,
-    })
+    Ok(instance)
 }
 
 #[cfg(test)]
@@ -335,6 +352,20 @@ mod tests {
                 .violations_of(&conv.csg, RelRef::fwd(conv.attr_rel(tid, aid))),
             0
         );
+    }
+
+    #[test]
+    fn schema_half_is_the_full_conversion_without_rows() {
+        let db = target_db();
+        let full = database_to_csg(&db);
+        let schema = schema_to_csg(&db);
+        assert_eq!(schema.csg, full.csg);
+        assert_eq!(schema.table_nodes, full.table_nodes);
+        assert_eq!(schema.attr_nodes, full.attr_nodes);
+        assert_eq!(schema.attr_rels, full.attr_rels);
+        assert_eq!(schema.fk_rels, full.fk_rels);
+        assert_eq!(schema.instance, CsgInstance::empty(&full.csg));
+        assert!(full.instance != schema.instance, "the target has rows");
     }
 
     #[test]

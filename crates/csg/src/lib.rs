@@ -45,7 +45,7 @@ pub mod violations;
 pub mod virtual_instance;
 
 pub use cardinality::Cardinality;
-pub use convert::{database_to_csg, database_to_csg_ctx};
+pub use convert::{database_to_csg, database_to_csg_ctx, schema_to_csg};
 pub use expr::{DomainWidth, RelExpr};
 pub use graph::{Csg, Direction, NodeId, NodeKind, RelId, RelKind, RelRef};
 pub use instance::{eval_memo_counters, CsgInstance};
@@ -56,6 +56,8 @@ pub use nary::{
     composite_fk_violations, composite_fk_violations_reference, composite_unique_violations,
     composite_unique_violations_reference, fd_violations,
 };
-pub use planner::{plan_repairs, PlannedRepair, PlannerError, Quality, StructureTaskKind};
+pub use planner::{
+    plan_repairs, simulate_repairs, PlannedRepair, PlannerError, Quality, StructureTaskKind,
+};
 pub use violations::{detect_conflicts, detect_conflicts_ctx, ConflictKind, StructuralConflict};
 pub use virtual_instance::VirtualCsg;

@@ -7,22 +7,20 @@
 //! cases, these cycles are a consequence of contradicting repair tasks.
 //! EFES proposes only consistent repair strategies."*
 //!
-//! ## Scaling (measured by `bench_scale`, 2026-08)
+//! ## Scaling
 //!
-//! This stage used to be the pipeline's dominant super-linear hot
-//! path: the 10⁴ → 10⁶ sweep fitted `csg_planning` at an overall
-//! exponent of ≈ 1.46 (≈ 2.4 between the last two points — 1.28 s to
-//! 20.1 s for a 3.16× row increase), because the link-set evaluation
-//! it leans on materialised `LinkSet = BTreeSet<(Vec<u32>, Vec<u32>)>`
-//! per conflict check per planner iteration. The counting evaluator
-//! (`CsgInstance::count_eval_ctx`, cached CSR adjacency plus an
-//! epoch-invalidated expression memo — DESIGN.md §2i) removed the
-//! materialisation entirely: the committed `BENCH_scale.json` sweep
-//! now runs 10⁴ → 10⁷ rows with `csg_planning` fitted ≈ 1.20
-//! (3.7 s at 10⁶, down from 20.1 s) and the CI `bench-scale` job
-//! gates the exponent at ≤ 1.3 alongside profiling and matching. The
-//! remaining per-iteration cost is the virtual-instance violation
-//! simulation, which is linear in affected elements.
+//! Planning itself is schema-bound: the simulation touches one
+//! actual/affected pair per target reading per iteration, independent
+//! of the row count, and `plan_repairs` takes under a millisecond even
+//! at 10⁶ source rows. What scales with the data is the evidence the
+//! plan is seeded from — converting the source (`database_to_csg_ctx`)
+//! and counting its violations (`detect_conflicts_ctx`). The structure
+//! module runs those once per source, in its assess phase; its planner
+//! reads the findings back and never converts, matches or detects
+//! again. `bench_scale`'s `csg_planning` stage times that assess + plan
+//! pair, and CI gates its exponent at ≤ 1.3. Source conversion is the
+//! dominant leaf of it; the counting evaluator (`count_eval_ctx`,
+//! DESIGN.md §2i) keeps detection near-linear.
 
 use crate::cardinality::Cardinality;
 use crate::convert::CsgConversion;
@@ -487,10 +485,9 @@ fn location_label(g: &crate::graph::Csg, reading: RelRef) -> String {
     name.rsplit('.').next().unwrap_or(name).to_owned()
 }
 
-/// Run the repair simulation: pick a violation, select its Table 4 task
-/// for the requested quality, apply its (side) effects, repeat until the
-/// virtual instance is clean. The returned list is already in a valid
-/// execution order (causing tasks precede fixing tasks by construction).
+/// Plan the repairs of detected conflicts: seed a virtual instance of the
+/// target with them ([`VirtualCsg::from_conflicts`]) and run
+/// [`simulate_repairs`] on it.
 pub fn plan_repairs(
     target_conv: &CsgConversion,
     matches: &[RelationshipMatch],
@@ -498,8 +495,24 @@ pub fn plan_repairs(
     quality: Quality,
     opts: &PlannerOptions,
 ) -> Result<Vec<PlannedRepair>, PlannerError> {
-    let mut v = VirtualCsg::from_conflicts(target_conv, matches, conflicts);
-    let g = &target_conv.csg;
+    simulate_repairs(
+        VirtualCsg::from_conflicts(target_conv, matches, conflicts),
+        quality,
+        opts,
+    )
+}
+
+/// Run the repair simulation on a seeded virtual instance: pick a
+/// violation, select its Table 4 task for the requested quality, apply
+/// its (side) effects, repeat until the virtual instance is clean. The
+/// returned list is already in a valid execution order (causing tasks
+/// precede fixing tasks by construction).
+pub fn simulate_repairs(
+    mut v: VirtualCsg<'_>,
+    quality: Quality,
+    opts: &PlannerOptions,
+) -> Result<Vec<PlannedRepair>, PlannerError> {
+    let g = v.graph();
     let mut plan: Vec<PlannedRepair> = Vec::new();
     let mut seen: HashSet<u64> = HashSet::new();
     seen.insert(v.state_hash());

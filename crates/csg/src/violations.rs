@@ -55,8 +55,10 @@ pub struct StructuralConflict {
     /// The inferred cardinality of the matched source relationship.
     pub inferred: Cardinality,
     /// The *observed* cardinality of the source data: the hull of actual
-    /// per-element link counts. This is what the virtual CSG instance is
-    /// annotated with (Figure 5's left-hand-side cardinalities).
+    /// per-element link counts, always a finite `Cardinality::range` (a
+    /// conflict is only emitted after some element's count was seen).
+    /// This is what the virtual CSG instance is annotated with (Figure
+    /// 5's left-hand-side cardinalities).
     pub observed: Cardinality,
     /// Conflict class (drives task selection, Table 4).
     pub kind: ConflictKind,
@@ -162,9 +164,8 @@ pub fn detect_conflicts_ctx(
             let counts = source_conv
                 .instance
                 .link_counts_shared_ctx(&expr, domain, &ck)?;
-            let observed = match (counts.iter().min(), counts.iter().max()) {
-                (Some(lo), Some(hi)) => Cardinality::range(*lo, *hi),
-                _ => prescribed.clone(), // no domain elements: vacuously fine
+            let (Some(&lo), Some(&hi)) = (counts.iter().min(), counts.iter().max()) else {
+                continue; // no domain elements: vacuously fine
             };
             let mut too_few = 0u64;
             let mut too_many = 0u64;
@@ -198,7 +199,7 @@ pub fn detect_conflicts_ctx(
                 direction,
                 prescribed,
                 inferred: inferred.clone(),
-                observed,
+                observed: Cardinality::range(lo, hi),
                 kind,
                 violation_count,
                 too_few,

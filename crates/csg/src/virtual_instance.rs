@@ -64,43 +64,61 @@ fn slot(dir: Direction) -> usize {
 }
 
 impl<'a> VirtualCsg<'a> {
-    /// Initialise from relationship matches and detected conflicts.
-    ///
-    /// Readings without a conflict start clean (their actual cardinality
-    /// equals the prescription: no observed data violates it); conflicting
-    /// readings carry the *observed* cardinality of the source data
-    /// (Figure 5a's left-hand annotations) and the offending element
-    /// counts.
+    /// A clean virtual instance over `csg`: every reading's actual
+    /// cardinality equals its prescription (no observed data violates
+    /// it) and no element is affected.
+    pub fn new(csg: &'a Csg) -> Self {
+        let n = csg.relationships().len();
+        let actual = (0..n)
+            .map(|i| {
+                let r = RelId(i);
+                [
+                    csg.card_of(RelRef::fwd(r)).clone(),
+                    csg.card_of(RelRef::bwd(r)).clone(),
+                ]
+            })
+            .collect();
+        VirtualCsg {
+            csg,
+            actual,
+            affected: vec![[AffectedCounts::default(); 2]; n],
+        }
+    }
+
+    /// Seed one observed violation: `reading` carries the *observed*
+    /// cardinality of the source data (Figure 5a's left-hand
+    /// annotations) and the offending element counts. Every planner
+    /// seeding — from [`StructuralConflict`]s or from the structure
+    /// module's findings — goes through here.
+    pub fn observe(&mut self, reading: RelRef, observed: Cardinality, affected: AffectedCounts) {
+        self.set_actual(reading, observed);
+        self.set_affected(reading, affected);
+    }
+
+    /// Initialise from relationship matches and detected conflicts:
+    /// readings without a conflict start clean, conflicting readings are
+    /// seeded through [`observe`](Self::observe).
     pub fn from_conflicts(
         target_conv: &'a CsgConversion,
         matches: &[RelationshipMatch],
         conflicts: &[StructuralConflict],
     ) -> Self {
         let _ = matches; // matches are implied by the conflicts' observations
-        let g = &target_conv.csg;
-        let n = g.relationships().len();
-        let mut actual: Vec<[Cardinality; 2]> = (0..n)
-            .map(|i| {
-                let r = RelId(i);
-                [
-                    g.card_of(RelRef::fwd(r)).clone(),
-                    g.card_of(RelRef::bwd(r)).clone(),
-                ]
-            })
-            .collect();
-        let mut affected = vec![[AffectedCounts::default(); 2]; n];
+        let mut v = VirtualCsg::new(&target_conv.csg);
         for c in conflicts {
-            actual[c.target_rel][slot(c.direction)] = c.observed.clone();
-            affected[c.target_rel][slot(c.direction)] = AffectedCounts {
-                too_few: c.too_few,
-                too_many: c.too_many,
-            };
+            v.observe(
+                RelRef {
+                    rel: RelId(c.target_rel),
+                    dir: c.direction,
+                },
+                c.observed.clone(),
+                AffectedCounts {
+                    too_few: c.too_few,
+                    too_many: c.too_many,
+                },
+            );
         }
-        VirtualCsg {
-            csg: g,
-            actual,
-            affected,
-        }
+        v
     }
 
     /// Initialise with explicit actual cardinalities (used by tests and
@@ -110,28 +128,15 @@ impl<'a> VirtualCsg<'a> {
         actuals: Vec<(RelId, Cardinality, Cardinality)>,
         affected: Vec<(RelRef, AffectedCounts)>,
     ) -> Self {
-        let n = csg.relationships().len();
-        let mut actual: Vec<[Cardinality; 2]> = (0..n)
-            .map(|i| {
-                let r = RelId(i);
-                [
-                    csg.card_of(RelRef::fwd(r)).clone(),
-                    csg.card_of(RelRef::bwd(r)).clone(),
-                ]
-            })
-            .collect();
+        let mut v = VirtualCsg::new(csg);
         for (r, f, b) in actuals {
-            actual[r.0] = [f, b];
+            v.set_actual(RelRef::fwd(r), f);
+            v.set_actual(RelRef::bwd(r), b);
         }
-        let mut aff = vec![[AffectedCounts::default(); 2]; n];
         for (r, c) in affected {
-            aff[r.rel.0][slot(r.dir)] = c;
+            v.set_affected(r, c);
         }
-        VirtualCsg {
-            csg,
-            actual,
-            affected: aff,
-        }
+        v
     }
 
     /// The underlying target graph. The returned reference borrows the
@@ -161,11 +166,12 @@ impl<'a> VirtualCsg<'a> {
         self.affected[r.rel.0][slot(r.dir)] = a;
     }
 
-    /// Add to the affected counts of a reading (side effects accumulate).
+    /// Add to the affected counts of a reading (side effects accumulate,
+    /// saturating: counts read back from a report may be arbitrary).
     pub fn add_affected(&mut self, r: RelRef, a: AffectedCounts) {
         let cur = &mut self.affected[r.rel.0][slot(r.dir)];
-        cur.too_few += a.too_few;
-        cur.too_many += a.too_many;
+        cur.too_few = cur.too_few.saturating_add(a.too_few);
+        cur.too_many = cur.too_many.saturating_add(a.too_many);
     }
 
     /// `true` iff the reading's actual cardinality satisfies (is a subset

@@ -134,7 +134,7 @@ impl EstimationModule for BrokenModule {
     fn plan(
         &self,
         _scenario: &efes_relational::IntegrationScenario,
-        _report: &ModuleReport,
+        _: &ModuleReport,
         _config: &EstimationConfig,
     ) -> Result<Vec<Task>, ModuleError> {
         unreachable!("assess failed first")

@@ -13,6 +13,7 @@ use efes_relational::{
 use efes_serve::{MatchResponse, Server, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// A raw one-request HTTP client: returns (status, headers, body).
@@ -81,12 +82,11 @@ fn wait_for_metric(handle: &ServerHandle, line: &str, within: Duration) {
     }
 }
 
-/// A scenario that is deliberately expensive to estimate: enough rows
-/// that profiling dominates, so a single worker stays busy long enough
+/// A scenario that is deliberately expensive to estimate: with enough
+/// rows profiling dominates, so a single worker stays busy long enough
 /// for queueing and deadline behaviour to be observable.
-fn slow_scenario() -> IntegrationScenario {
-    const ROWS: usize = 6000;
-    let rows: Vec<Vec<Value>> = (0..ROWS)
+fn slow_scenario(rows: usize) -> IntegrationScenario {
+    let rows: Vec<Vec<Value>> = (0..rows)
         .map(|i| {
             vec![
                 Value::Int(i as i64),
@@ -130,11 +130,41 @@ fn slow_scenario() -> IntegrationScenario {
     IntegrationScenario::single_source("slow", source, target, corrs).unwrap()
 }
 
+/// The row count at which one uncancelled, sequential estimate of
+/// [`slow_scenario`] takes at least 200 ms on this build and host:
+/// doubled from 6,000 until a measured in-process run is that slow.
+/// Release builds estimate several times faster than debug ones, so a
+/// fixed size that keeps the worker busy in one would race the tests'
+/// 5 ms metric polling in the other.
+fn slow_rows() -> usize {
+    static ROWS: OnceLock<usize> = OnceLock::new();
+    *ROWS.get_or_init(|| {
+        let estimator = Estimator::with_default_modules(
+            EstimationConfig::default().with_execution(ExecutionPolicy::Sequential),
+        );
+        let mut rows = 6000;
+        loop {
+            let scenario = slow_scenario(rows);
+            let started = Instant::now();
+            estimator
+                .estimate(&scenario)
+                .expect("slow scenario estimates");
+            if started.elapsed() >= Duration::from_millis(200) || rows >= 1 << 18 {
+                return rows;
+            }
+            rows *= 2;
+        }
+    })
+}
+
 /// One worker, one queue slot, and profile caching effectively disabled
 /// so repeated estimates of the slow scenario stay slow.
 fn slow_server() -> ServerHandle {
     let mut registry = ScenarioRegistry::new();
-    registry.register("slow", "deliberately expensive scenario", slow_scenario);
+    let rows = slow_rows();
+    registry.register("slow", "deliberately expensive scenario", move || {
+        slow_scenario(rows)
+    });
     Server::start(
         ServerConfig {
             workers: ExecutionPolicy::Threads(1),
@@ -274,18 +304,33 @@ fn expired_deadlines_answer_503_and_abandon_the_job() {
     let handle = slow_server();
     let addr = handle.addr();
 
+    // One uncancelled run measures how long the blocker below holds the
+    // worker on this build and host.
+    let (status, _, body) = post_estimate(addr, r#"{"scenario":"slow","deadline_ms":120000}"#);
+    assert_eq!(status, 200, "body: {body}");
+    let runtime_ms = handle.metrics().mean_request_latency_ms().unwrap();
+    // The answer can arrive before the worker has released that job, so
+    // wait for it: the next in-flight job must be the blocker's.
+    wait_for_metric(&handle, "efes_jobs_in_flight 0", Duration::from_secs(30));
+
     // Keep the worker busy so the deadlined request can never start.
     let blocker = std::thread::spawn(move || {
         post_estimate(addr, r#"{"scenario":"slow","deadline_ms":120000}"#)
     });
     wait_for_metric(&handle, "efes_jobs_in_flight 1", Duration::from_secs(30));
 
-    let (status, _, body) = post_estimate(addr, r#"{"scenario":"slow","deadline_ms":25}"#);
+    // A tenth of the blocker's runtime: the deadline fires while the
+    // job still waits in the queue, whatever the build's speed.
+    let deadline_ms = ((runtime_ms / 10.0) as u64).max(1);
+    let (status, _, body) = post_estimate(
+        addr,
+        &format!(r#"{{"scenario":"slow","deadline_ms":{deadline_ms}}}"#),
+    );
     assert_eq!(status, 503, "body: {body}");
     assert!(body.contains("deadline"), "body: {body}");
 
-    let (status, _, _) = blocker.join().unwrap();
-    assert_eq!(status, 200);
+    let (status, _, body) = blocker.join().unwrap();
+    assert_eq!(status, 200, "blocker body: {body}");
     // Once the worker reaches the abandoned job it skips it and says so.
     wait_for_metric(&handle, "efes_jobs_abandoned_total 1", Duration::from_secs(30));
     wait_for_metric(&handle, "efes_deadline_expired_total 1", Duration::from_secs(5));
@@ -319,19 +364,27 @@ fn tight_deadline_aborts_a_running_estimate_and_frees_the_worker() {
 
     // Baseline: the large scenario estimated uncancelled. Seeds the
     // mean request latency that reclaimed worker time is credited
-    // against, and bounds the "worker free again" assertion below.
+    // against, sets the deadline below, and bounds the "worker free
+    // again" assertion.
     let baseline_started = Instant::now();
     let (status, _, body) = post_estimate(addr, r#"{"scenario":"synth-large"}"#);
     assert_eq!(status, 200, "body: {body}");
     let baseline = baseline_started.elapsed();
 
-    // The million-row scenario under a 500 ms deadline: the waiter
-    // answers 503 at the deadline and the running job aborts at its
-    // next checkpoint instead of occupying the worker for the full
-    // estimate. (Scenario generation happens on the connection thread
-    // before the clock starts, so only estimation is under deadline.)
-    let (status, _, body) =
-        post_estimate(addr, r#"{"scenario":"synth-xl","deadline_ms":500}"#);
+    // The million-row scenario under a deadline of a quarter of the
+    // baseline's estimation time: the waiter answers 503 at the deadline
+    // and the running job aborts at its next checkpoint instead of
+    // occupying the worker for the full estimate. The job then holds the
+    // worker for well under the mean uncancelled latency, on any build
+    // and host. (Scenario generation happens on the connection thread
+    // before the clock starts, so only estimation is under deadline —
+    // and only estimation counts in the server's mean latency.)
+    let mean_ms = handle.metrics().mean_request_latency_ms().unwrap();
+    let deadline_ms = ((mean_ms / 4.0) as u64).max(1);
+    let (status, _, body) = post_estimate(
+        addr,
+        &format!(r#"{{"scenario":"synth-xl","deadline_ms":{deadline_ms}}}"#),
+    );
     let aborted_at = Instant::now();
     assert_eq!(status, 503, "body: {body}");
 
@@ -365,7 +418,7 @@ fn tight_deadline_aborts_a_running_estimate_and_frees_the_worker() {
         std::thread::sleep(Duration::from_millis(5));
     }
     // …and the time handed back (mean uncancelled latency minus the
-    // ~500 ms the run actually held) is credited as reclaimed.
+    // quarter of it the run actually held) is credited as reclaimed.
     assert!(
         handle.metrics().reclaimed_micros() > 0,
         "no worker time reclaimed; scrape:\n{}",
