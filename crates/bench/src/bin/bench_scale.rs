@@ -7,12 +7,13 @@
 //! ```
 //!
 //! For each row count the sweep generates one seeded scenario with
-//! `efes-synth` (fixed shape, default dirt) and times five stages
+//! `efes-synth` (fixed shape, default dirt) and times six stages
 //! independently: generation itself, attribute profiling, matcher
-//! scoring, CSG planning (the structure module's assess + plan, as a
-//! served estimate runs them: source conversion, relationship matching
-//! and conflict detection, then the repair simulation over the
-//! findings), and the full sequential estimate. A log-log least-squares
+//! scoring, CSG conversion of the source alone, CSG planning (the
+//! structure module's assess + plan, as a served estimate runs them:
+//! source conversion, relationship matching and conflict detection,
+//! then the repair simulation over the findings), and the full
+//! sequential estimate. A log-log least-squares
 //! fit of median wall-clock against row count yields each stage's
 //! empirical scaling exponent — `1.0` is linear, `2.0` quadratic. Like
 //! `bench_smoke`, numbers are medians of a handful of runs: indicative
@@ -22,7 +23,8 @@
 use efes::modules::StructureModule;
 use efes::prelude::*;
 use efes_bench::Provenance;
-use efes_exec::ExecutionMode;
+use efes_csg::database_to_csg_ctx;
+use efes_exec::{ExecutionMode, RunContext};
 use efes_matching::CombinedMatcher;
 use efes_profiling::{AttributeProfile, ProfileCache};
 use efes_synth::{SynthConfig, SynthScenario};
@@ -181,6 +183,13 @@ fn main() {
                 &ProfileCache::new(),
                 ExecutionMode::Sequential,
             ));
+        }));
+        record("csg_convert", median_ns(iters, || {
+            std::hint::black_box(database_to_csg_ctx(
+                &out.scenario.sources[0],
+                &RunContext::unbounded(),
+            ))
+            .expect("unbounded runs never cancel");
         }));
         record("csg_planning", median_ns(iters, || {
             let module = StructureModule::default();

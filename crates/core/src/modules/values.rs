@@ -137,7 +137,9 @@ impl ValueModule {
             scenario.target.schema.qualified(ta.table, ta.attr)
         );
         let source_values = source.instance.table(sa.table).len() as u64;
-        let distinct = source.instance.distinct_count(sa.table, sa.attr) as u64;
+        // The profile's constancy counts the distinct non-null values:
+        // `Column::distinct_count`, without a second pass.
+        let distinct = source_profile.constancy.distinct as u64;
 
         let mut heterogeneities: Vec<(HeterogeneityKind, f64)> = Vec::new();
         // Rule 1: substantiallyFewerSourceValues.

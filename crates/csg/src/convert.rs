@@ -7,13 +7,25 @@
 //! relational attribute, the relationships link tuples and their
 //! respective attribute values. With this proceeding, any relational
 //! database can be turned into a CSG without loss of information."*
+//!
+//! A typed column already is such an attribute node: its first-seen
+//! distinct values plus one code per row
+//! ([`Column::distinct_codes`](efes_relational::Column::distinct_codes)).
+//! Conversion therefore stores no value. An attribute node's elements
+//! are its column's codes, a table node's elements its rows, and each
+//! tuple → value relationship is the `(row, code)` list of the column's
+//! non-null cells. Only a foreign key's equality links are computed:
+//! each referencing value is looked up in the referenced column's
+//! index.
 
 use crate::cardinality::Cardinality;
 use crate::graph::{Csg, NodeId, NodeKind, RelId, RelKind};
-use crate::instance::{CsgInstance, Element};
+use crate::instance::CsgInstance;
 use efes_exec::{Cancelled, RunContext};
+use efes_relational::column::NULL_CODE;
 use efes_relational::schema::{AttrId, TableId};
-use efes_relational::{ConstraintKind, Database};
+use efes_relational::{Column, ConstraintKind, Database, DistinctCodes};
+use std::collections::HashMap;
 
 /// The result of converting a database: the graph, its instance, and the
 /// mapping from relational identifiers back to graph identifiers (needed
@@ -61,9 +73,10 @@ pub fn database_to_csg(db: &Database) -> CsgConversion {
 }
 
 /// Like [`database_to_csg`], but cancellable: the instance fill — the
-/// only part that scales with row count — ticks `run`'s checkpoint per
-/// cell and per equality link, so conversion of a very large database
-/// aborts promptly when `run` fires.
+/// only part that scales with row count — ticks `run`'s checkpoint
+/// before each column and each foreign key, counting their rows and
+/// values, so conversion of a very large database aborts at the next
+/// column when `run` fires.
 pub fn database_to_csg_ctx(db: &Database, run: &RunContext) -> Result<CsgConversion, Cancelled> {
     let mut conv = schema_to_csg(db);
     conv.instance = fill_instance(&conv, db, run)?;
@@ -122,27 +135,15 @@ pub fn schema_to_csg(db: &Database) -> CsgConversion {
 
     // Foreign keys become equality relationships between attribute nodes.
     let mut fk_rels = Vec::new();
-    for c in db.constraints.iter() {
-        if let ConstraintKind::ForeignKey {
-            from_table,
-            from_attrs,
-            to_table,
-            to_attrs,
-        } = &c.kind
-        {
-            for (fa, ta) in from_attrs.iter().zip(to_attrs.iter()) {
-                let from_node = attr_nodes[from_table.0][fa.0];
-                let to_node = attr_nodes[to_table.0][ta.0];
-                let rel = csg.add_relationship(
-                    from_node,
-                    to_node,
-                    RelKind::Equality,
-                    Cardinality::one(),
-                    Cardinality::zero_or_one(),
-                );
-                fk_rels.push((c.name.clone(), rel));
-            }
-        }
+    for (name, (ft, fa), (tt, ta)) in foreign_key_pairs(db) {
+        let rel = csg.add_relationship(
+            attr_nodes[ft.0][fa.0],
+            attr_nodes[tt.0][ta.0],
+            RelKind::Equality,
+            Cardinality::one(),
+            Cardinality::zero_or_one(),
+        );
+        fk_rels.push((name.to_owned(), rel));
     }
 
     let instance = CsgInstance::empty(&csg);
@@ -156,66 +157,92 @@ pub fn schema_to_csg(db: &Database) -> CsgConversion {
     }
 }
 
+/// Every foreign key's attribute pairs, `(constraint name, (referencing
+/// table, attribute), (referenced table, attribute))`, in constraint
+/// order: one per equality relationship of the converted graph.
+fn foreign_key_pairs(
+    db: &Database,
+) -> impl Iterator<Item = (&str, (TableId, AttrId), (TableId, AttrId))> {
+    db.constraints.iter().flat_map(|c| {
+        let pairs: Vec<_> = match &c.kind {
+            ConstraintKind::ForeignKey {
+                from_table,
+                from_attrs,
+                to_table,
+                to_attrs,
+            } => from_attrs
+                .iter()
+                .zip(to_attrs)
+                .map(|(fa, ta)| (c.name.as_str(), (*from_table, *fa), (*to_table, *ta)))
+                .collect(),
+            _ => Vec::new(),
+        };
+        pairs
+    })
+}
+
 /// The instance half of [`database_to_csg`]: `db`'s rows as an instance
-/// of `conv`'s graph.
+/// of `conv`'s graph, read off each column's first-seen distinct codes
+/// ([`Column::distinct_codes`]).
 ///
-/// Column-major per table: every tuple first, then each attribute's
-/// values in row order. Each node and each relationship still gets its
-/// elements and links in row order, as a row-by-row walk would add them.
+/// A table node gets one element per row. An attribute node gets one
+/// element per distinct non-null value, numbered in first-seen row
+/// order, and its relationship one `(row, code)` link per non-null cell
+/// in row order. A foreign key's equality relationship links each value
+/// of the referencing attribute, in code order, to the equal value of
+/// the referenced one, if there is one. This is the instance a
+/// row-by-row walk builds, without copying a value out of a column.
 fn fill_instance(
     conv: &CsgConversion,
     db: &Database,
     run: &RunContext,
 ) -> Result<CsgInstance, Cancelled> {
     let ck = run.checkpoint();
-    let (attr_nodes, attr_rels) = (&conv.attr_nodes, &conv.attr_rels);
     let mut instance = CsgInstance::empty(&conv.csg);
+    // One (referencing, referenced) attribute pair per entry of
+    // `conv.fk_rels`, in the same order.
+    let fk_pairs: Vec<_> = foreign_key_pairs(db)
+        .map(|(_, from, to)| (from, to))
+        .collect();
+    // Columns a foreign key joins keep their codes until the equality
+    // links are built.
+    let mut joined: HashMap<(TableId, AttrId), DistinctCodes<'_>> = HashMap::new();
     for (ti, data) in db.instance.iter_tables() {
-        let tnode = conv.table_nodes[ti.0];
-        let tuples: Vec<u32> = (0..data.len())
-            .map(|ri| instance.add_element(tnode, Element::Tuple(ri)))
-            .collect();
-        for (ai, (&anode, &rel)) in attr_nodes[ti.0].iter().zip(&attr_rels[ti.0]).enumerate() {
-            for (t_idx, v) in tuples.iter().zip(data.column(AttrId(ai))) {
-                ck.tick()?;
-                if v.is_null() {
-                    continue;
-                }
-                let v_idx = instance.add_element(anode, Element::Val(v.to_value()));
-                instance.add_link(rel, *t_idx, v_idx);
+        instance.set_element_count(conv.table_nodes[ti.0], data.len());
+        for (ai, (&anode, &rel)) in conv.attr_nodes[ti.0]
+            .iter()
+            .zip(&conv.attr_rels[ti.0])
+            .enumerate()
+        {
+            let column = data.column_store(AttrId(ai)).unwrap_or(Column::empty());
+            ck.tick_n(column.len() as u64 + 1)?;
+            let distinct = column.distinct_codes();
+            let mut links = Vec::with_capacity(column.len() - column.null_count());
+            links.extend(
+                (0u32..)
+                    .zip(distinct.codes())
+                    .filter(|&(_, &code)| code != NULL_CODE)
+                    .map(|(row, &code)| (row, code)),
+            );
+            instance.set_element_count(anode, distinct.len());
+            instance.set_links(rel, links);
+            let key = (ti, AttrId(ai));
+            if fk_pairs.iter().any(|&(from, to)| from == key || to == key) {
+                joined.insert(key, distinct);
             }
         }
     }
-    // Equality links: connect equal elements of the two attribute nodes.
-    for c in db.constraints.iter() {
-        if let ConstraintKind::ForeignKey {
-            from_table,
-            from_attrs,
-            to_table,
-            to_attrs,
-        } = &c.kind
-        {
-            for ((fa, ta), (_, rel)) in from_attrs
-                .iter()
-                .zip(to_attrs.iter())
-                .zip(conv.fk_rels.iter().filter(|(name, _)| name == &c.name))
-            {
-                let from_node = attr_nodes[from_table.0][fa.0];
-                let to_node = attr_nodes[to_table.0][ta.0];
-                // Resolve matching indices with a read-only pass (no
-                // per-element Value clones), then append the links.
-                let mut eq_links: Vec<(u32, u32)> = Vec::new();
-                for (idx, elem) in instance.elements(from_node).iter().enumerate() {
-                    ck.tick()?;
-                    if let Some(to_idx) = instance.element_index(to_node, elem) {
-                        eq_links.push((idx as u32, to_idx));
-                    }
-                }
-                for (idx, to_idx) in eq_links {
-                    instance.add_link(*rel, idx, to_idx);
-                }
-            }
-        }
+    // Equality links: join each referencing value to the referenced
+    // attribute's equal value.
+    for (&(from, to), &(_, rel)) in fk_pairs.iter().zip(&conv.fk_rels) {
+        let (Some(from), Some(to)) = (joined.get(&from), joined.get(&to)) else {
+            continue;
+        };
+        ck.tick_n(from.len() as u64 + 1)?;
+        let links = (0..from.len() as u32)
+            .filter_map(|code| to.code_of(from.value(code)).map(|t| (code, t)))
+            .collect();
+        instance.set_links(rel, links);
     }
     Ok(instance)
 }
@@ -224,7 +251,7 @@ fn fill_instance(
 mod tests {
     use super::*;
     use crate::graph::RelRef;
-    use efes_relational::{DataType, DatabaseBuilder, Value};
+    use efes_relational::{DataType, DatabaseBuilder, Value, ValueRef};
 
     /// The target schema of Figure 2a: records(id PK, title NN, artist NN,
     /// genre NN) and tracks(record FK NN, title NN, duration).
@@ -311,10 +338,9 @@ mod tests {
         // Three tracks share record value 1: one distinct value, 3 links.
         assert_eq!(conv.instance.element_count(record_node), 1);
         assert_eq!(conv.instance.links_of(conv.attr_rel(tr_t, tr_a)).len(), 3);
-        assert_eq!(
-            conv.instance.elements(record_node)[0],
-            Element::Val(Value::Int(1))
-        );
+        // That element is the column's first-seen code 0: the value 1.
+        let column = db.instance.table(tr_t).column_store(tr_a).unwrap();
+        assert_eq!(column.distinct_codes().value(0), ValueRef::Int(1));
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! CSG instances `I(Γ) = (I_N, I_P)` (Definition 2) and expression
 //! evaluation over them.
 //!
+//! The instance is column-native: a node's extension `I_N` is held as
+//! its element count alone, elements being the indices `0..count`. For
+//! a converted database these are a table's rows and an attribute's
+//! first-seen distinct-value codes, so no value is copied out of the
+//! columns. `I_P` is one `(from, to)` index vector per relationship.
+//!
 //! Two evaluators live here (DESIGN.md §2i):
 //!
 //! * [`CsgInstance::eval`] materialises the full link set as a
@@ -20,21 +26,10 @@
 use crate::expr::{DomainWidth, RelExpr};
 use crate::graph::{Csg, Direction, NodeId, RelId, RelRef};
 use efes_exec::{Cancelled, Checkpoint, RunContext};
-use efes_relational::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// An element of a node's extension: an abstract tuple identity for table
-/// nodes, a concrete value for attribute nodes (paper Example 4.1).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum Element {
-    /// Abstract identity `id_t` of a tuple.
-    Tuple(usize),
-    /// A concrete attribute value.
-    Val(Value),
-}
 
 /// Key of an element (or, for join/collateral results, an element tuple)
 /// inside the evaluation machinery: per-node element indices.
@@ -204,7 +199,7 @@ struct EvalCaches {
     csr: OnceLock<Box<[CsrCell]>>,
     /// Valid for the current epoch only.
     memo: CountMemo,
-    /// Bumped by `add_element` / `add_link`.
+    /// Bumped by `set_element_count` / `set_links`.
     epoch: u64,
 }
 
@@ -224,13 +219,18 @@ impl Eq for EvalCaches {}
 
 /// A CSG instance: element sets `I_N` per node and link sets `I_P` per
 /// relationship.
+///
+/// An element is its index: a node's elements are `0..element_count`.
+/// Conversion ([`database_to_csg`](crate::convert::database_to_csg))
+/// numbers a table node's tuples by row and an attribute node's values
+/// by their first-seen codes in the column
+/// ([`Column::distinct_codes`](efes_relational::Column::distinct_codes)),
+/// so the values themselves stay in the columns and the instance holds
+/// only counts and links.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CsgInstance {
-    /// `I_N`: elements per node, indexed by `NodeId`.
-    node_elements: Vec<Vec<Element>>,
-    /// Reverse lookup element → index, per node.
-    #[serde(skip)]
-    elem_index: Vec<HashMap<Element, u32>>,
+    /// `|I_N|`: the number of elements per node, indexed by `NodeId`.
+    element_counts: Vec<usize>,
     /// `I_P`: links per relationship as (from-element-index,
     /// to-element-index) pairs, indexed by `RelId`.
     links: Vec<Vec<(u32, u32)>>,
@@ -243,23 +243,22 @@ impl CsgInstance {
     /// An empty instance shaped for `g`.
     pub fn empty(g: &Csg) -> Self {
         CsgInstance {
-            node_elements: vec![Vec::new(); g.nodes().len()],
-            elem_index: vec![HashMap::new(); g.nodes().len()],
+            element_counts: vec![0; g.nodes().len()],
             links: vec![Vec::new(); g.relationships().len()],
             caches: EvalCaches::default(),
         }
     }
 
-    /// Add an element to a node (idempotent); returns its index.
-    pub fn add_element(&mut self, node: NodeId, elem: Element) -> u32 {
-        if let Some(idx) = self.elem_index[node.0].get(&elem) {
-            return *idx;
-        }
+    /// Give `node` the elements `0..count`.
+    pub fn set_element_count(&mut self, node: NodeId, count: usize) {
         self.invalidate_eval_caches();
-        let idx = self.node_elements[node.0].len() as u32;
-        self.node_elements[node.0].push(elem.clone());
-        self.elem_index[node.0].insert(elem, idx);
-        idx
+        self.element_counts[node.0] = count;
+    }
+
+    /// Replace the links of `rel`, as `(from, to)` element indices.
+    pub fn set_links(&mut self, rel: RelId, links: Vec<(u32, u32)>) {
+        self.invalidate_eval_caches();
+        self.links[rel.0] = links;
     }
 
     /// Drop all derived evaluation state and start a new epoch. Called
@@ -283,26 +282,9 @@ impl CsgInstance {
         self.caches.epoch
     }
 
-    /// Look up an element's index without inserting.
-    pub fn element_index(&self, node: NodeId, elem: &Element) -> Option<u32> {
-        self.elem_index[node.0].get(elem).copied()
-    }
-
-    /// Add a link to a relationship, by element indices. Invalidates
-    /// the CSR adjacency cache and the expression memo.
-    pub fn add_link(&mut self, rel: RelId, from_idx: u32, to_idx: u32) {
-        self.invalidate_eval_caches();
-        self.links[rel.0].push((from_idx, to_idx));
-    }
-
-    /// The elements of one node.
-    pub fn elements(&self, node: NodeId) -> &[Element] {
-        &self.node_elements[node.0]
-    }
-
     /// Number of elements of one node.
     pub fn element_count(&self, node: NodeId) -> usize {
-        self.node_elements[node.0].len()
+        self.element_counts[node.0]
     }
 
     /// The raw links of one relationship.
@@ -717,12 +699,9 @@ mod tests {
             Cardinality::one_or_more(),
         );
         let mut inst = CsgInstance::empty(&g);
-        let t0 = inst.add_element(tracks, Element::Tuple(0));
-        let t1 = inst.add_element(tracks, Element::Tuple(1));
-        let _t2 = inst.add_element(tracks, Element::Tuple(2));
-        let v1 = inst.add_element(record, Element::Val(Value::Int(1)));
-        inst.add_link(r, t0, v1);
-        inst.add_link(r, t1, v1);
+        inst.set_element_count(tracks, 3);
+        inst.set_element_count(record, 1);
+        inst.set_links(r, vec![(0, 0), (1, 0)]);
         (g, inst, r, tracks, record)
     }
 
@@ -771,13 +750,11 @@ mod tests {
         let r1 = g.add_relationship(a, b, RelKind::Attribute, Cardinality::any(), Cardinality::any());
         let r2 = g.add_relationship(b, c, RelKind::Equality, Cardinality::any(), Cardinality::any());
         let mut inst = CsgInstance::empty(&g);
-        let a0 = inst.add_element(a, Element::Tuple(0));
-        let b0 = inst.add_element(b, Element::Val(Value::Int(7)));
-        let c0 = inst.add_element(c, Element::Val(Value::Int(7)));
-        let c1 = inst.add_element(c, Element::Val(Value::Int(8)));
-        inst.add_link(r1, a0, b0);
-        inst.add_link(r2, b0, c0);
-        inst.add_link(r2, b0, c1);
+        inst.set_element_count(a, 1);
+        inst.set_element_count(b, 1);
+        inst.set_element_count(c, 2);
+        inst.set_links(r1, vec![(0, 0)]);
+        inst.set_links(r2, vec![(0, 0), (0, 1)]);
         let expr = RelExpr::path(&[RelRef::fwd(r1), RelRef::fwd(r2)]);
         let links = inst.eval(&expr);
         assert_eq!(links.len(), 2);
@@ -810,15 +787,5 @@ mod tests {
         );
         let links = inst.eval(&expr);
         assert_eq!(links.len(), 4); // 2 links × 2 links
-    }
-
-    #[test]
-    fn add_element_is_idempotent() {
-        let (g, mut inst, _, tracks, _) = sample();
-        let _ = g;
-        let before = inst.element_count(tracks);
-        let idx = inst.add_element(tracks, Element::Tuple(0));
-        assert_eq!(idx, 0);
-        assert_eq!(inst.element_count(tracks), before);
     }
 }

@@ -18,9 +18,12 @@
 //! module runs those once per source, in its assess phase; its planner
 //! reads the findings back and never converts, matches or detects
 //! again. `bench_scale`'s `csg_planning` stage times that assess + plan
-//! pair, and CI gates its exponent at ≤ 1.3. Source conversion is the
-//! dominant leaf of it; the counting evaluator (`count_eval_ctx`,
-//! DESIGN.md §2i) keeps detection near-linear.
+//! pair and its `csg_convert` stage the conversion alone; CI gates both
+//! exponents at ≤ 1.3. Conversion reads the columns' first-seen
+//! distinct codes (DESIGN.md §2i, "column-native instance") and, at
+//! about a tenth of what it cost when it hashed every cell, no longer
+//! dominates: conversion and detection are each one linear pass, the
+//! counting evaluator (`count_eval_ctx`) keeping detection near-linear.
 
 use crate::cardinality::Cardinality;
 use crate::convert::CsgConversion;

@@ -8,9 +8,8 @@
 use efes_csg::cardinality::Cardinality;
 use efes_csg::expr::{DomainWidth, RelExpr, UnionMode};
 use efes_csg::graph::{Csg, NodeId, NodeKind, RelId, RelKind, RelRef};
-use efes_csg::instance::{CsgInstance, Element};
+use efes_csg::instance::CsgInstance;
 use efes_exec::{CancellationToken, Cancelled, RunContext, CHECK_INTERVAL};
-use efes_relational::Value;
 use proptest::prelude::*;
 
 const NODES: usize = 4;
@@ -29,21 +28,12 @@ fn build(l1: &[(u32, u32)], l2: &[(u32, u32)], l3: &[(u32, u32)]) -> (Csg, CsgIn
     let r2 = g.add_relationship(b, c, RelKind::Equality, Cardinality::any(), Cardinality::any());
     let r3 = g.add_relationship(a, d, RelKind::Attribute, Cardinality::any(), Cardinality::any());
     let mut inst = CsgInstance::empty(&g);
-    for i in 0..ELEMS {
-        inst.add_element(a, Element::Tuple(i as usize));
-        inst.add_element(b, Element::Val(Value::Int(i as i64)));
-        inst.add_element(c, Element::Val(Value::Int(100 + i as i64)));
-        inst.add_element(d, Element::Val(Value::Int(200 + i as i64)));
+    for node in [a, b, c, d] {
+        inst.set_element_count(node, ELEMS as usize);
     }
-    for &(f, t) in l1 {
-        inst.add_link(r1, f, t);
-    }
-    for &(f, t) in l2 {
-        inst.add_link(r2, f, t);
-    }
-    for &(f, t) in l3 {
-        inst.add_link(r3, f, t);
-    }
+    inst.set_links(r1, l1.to_vec());
+    inst.set_links(r2, l2.to_vec());
+    inst.set_links(r3, l3.to_vec());
     (g, inst, [r1, r2, r3])
 }
 
@@ -152,7 +142,9 @@ proptest! {
         let first = inst.link_counts(&expr, domain);
         prop_assert_eq!(&inst.link_counts(&expr, domain), &first);
         let epoch = inst.eval_epoch();
-        inst.add_link(rels[0], 0, 0);
+        let mut links = inst.links_of(rels[0]).to_vec();
+        links.push((0, 0));
+        inst.set_links(rels[0], links);
         prop_assert!(inst.eval_epoch() > epoch, "mutation must bump the epoch");
         prop_assert_eq!(
             inst.link_counts(&expr, domain),
@@ -171,12 +163,10 @@ fn count_eval_aborts_mid_sweep() {
     let b = g.add_node("b", NodeKind::Attribute);
     let r = g.add_relationship(a, b, RelKind::Attribute, Cardinality::any(), Cardinality::any());
     let mut inst = CsgInstance::empty(&g);
-    inst.add_element(a, Element::Tuple(0));
     let fanout = 2 * CHECK_INTERVAL;
-    for i in 0..fanout {
-        inst.add_element(b, Element::Val(Value::Int(i as i64)));
-        inst.add_link(r, 0, i);
-    }
+    inst.set_element_count(a, 1);
+    inst.set_element_count(b, fanout as usize);
+    inst.set_links(r, (0..fanout).map(|i| (0, i)).collect());
     // Warm the CSR cache so the abort provably happens in the sweep.
     let expr = RelExpr::Compose(
         Box::new(RelExpr::Atomic(RelRef::fwd(r))),
@@ -200,11 +190,10 @@ fn csr_build_aborts_and_is_not_cached_partially() {
     let b = g.add_node("b", NodeKind::Attribute);
     let r = g.add_relationship(a, b, RelKind::Attribute, Cardinality::any(), Cardinality::any());
     let mut inst = CsgInstance::empty(&g);
-    inst.add_element(a, Element::Tuple(0));
-    inst.add_element(b, Element::Val(Value::Int(0)));
-    for _ in 0..2 * CHECK_INTERVAL {
-        inst.add_link(r, 0, 0); // duplicates: CSR dedups to one edge
-    }
+    inst.set_element_count(a, 1);
+    inst.set_element_count(b, 1);
+    // Duplicates: CSR dedups them to one edge.
+    inst.set_links(r, vec![(0, 0); 2 * CHECK_INTERVAL as usize]);
     let token = CancellationToken::new();
     token.cancel();
     let run = RunContext::new(token, None);
@@ -227,11 +216,9 @@ fn join_over_shared_record() -> (Csg, CsgInstance, RelExpr, NodeId) {
         Cardinality::one_or_more(),
     );
     let mut inst = CsgInstance::empty(&g);
-    let t0 = inst.add_element(tracks, Element::Tuple(0));
-    let t1 = inst.add_element(tracks, Element::Tuple(1));
-    let v = inst.add_element(record, Element::Val(Value::Int(1)));
-    inst.add_link(r, t0, v);
-    inst.add_link(r, t1, v);
+    inst.set_element_count(tracks, 2);
+    inst.set_element_count(record, 1);
+    inst.set_links(r, vec![(0, 0), (1, 0)]);
     let expr = RelExpr::Join(
         Box::new(RelExpr::Atomic(RelRef::fwd(r))),
         Box::new(RelExpr::Atomic(RelRef::fwd(r))),

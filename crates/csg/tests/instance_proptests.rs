@@ -4,8 +4,7 @@
 use efes_csg::cardinality::Cardinality;
 use efes_csg::expr::RelExpr;
 use efes_csg::graph::{Csg, NodeKind, RelId, RelKind, RelRef};
-use efes_csg::instance::{CsgInstance, Element};
-use efes_relational::Value;
+use efes_csg::instance::CsgInstance;
 use proptest::prelude::*;
 
 /// A random 3-node chain a→b→c with arbitrary links.
@@ -20,17 +19,11 @@ fn arb_chain() -> impl Strategy<Value = (Csg, CsgInstance, RelId, RelId)> {
         let r1 = g.add_relationship(a, b, RelKind::Attribute, Cardinality::any(), Cardinality::any());
         let r2 = g.add_relationship(b, c, RelKind::Equality, Cardinality::any(), Cardinality::any());
         let mut inst = CsgInstance::empty(&g);
-        for i in 0..5 {
-            inst.add_element(a, Element::Tuple(i as usize));
-            inst.add_element(b, Element::Val(Value::Int(i)));
-            inst.add_element(c, Element::Val(Value::Int(100 + i)));
+        for node in [a, b, c] {
+            inst.set_element_count(node, 5);
         }
-        for (f, t) in l1 {
-            inst.add_link(r1, f, t);
-        }
-        for (f, t) in l2 {
-            inst.add_link(r2, f, t);
-        }
+        inst.set_links(r1, l1);
+        inst.set_links(r2, l2);
         (g, inst, r1, r2)
     })
 }
@@ -133,13 +126,9 @@ proptest! {
         let b = g2.add_node("b", NodeKind::Attribute);
         let r = g2.add_relationship(a, b, RelKind::Attribute, Cardinality::one(), Cardinality::any());
         let mut inst2 = CsgInstance::empty(&g2);
-        for i in 0..5 {
-            inst2.add_element(a, Element::Tuple(i as usize));
-            inst2.add_element(b, Element::Val(Value::Int(i)));
-        }
-        for (f, t) in inst.links_of(r1) {
-            inst2.add_link(r, *f, *t);
-        }
+        inst2.set_element_count(a, 5);
+        inst2.set_element_count(b, 5);
+        inst2.set_links(r, inst.links_of(r1).to_vec());
         prop_assert_eq!(inst2.violations_of(&g2, RelRef::fwd(r)), manual);
     }
 }

@@ -183,10 +183,14 @@ proptest! {
     /// the multi-pass float operation sequences.
     #[test]
     fn fused_kernel_matches_multipass(col in arb_column_with_floats()) {
+        let distinct = Column::from_cells(col.clone()).distinct_count();
         for dt in [DataType::Text, DataType::Integer, DataType::Float, DataType::Boolean] {
             let accumulated = AttributeProfile::compute(col.iter(), dt);
             let legacy = AttributeProfile::compute_multipass(col.iter(), dt);
             prop_assert_eq!(&accumulated, &legacy, "accumulator != multipass for {:?}", dt);
+            // The value module reads a column's distinct count off its
+            // profile.
+            prop_assert_eq!(accumulated.constancy.distinct, distinct, "distinct count for {:?}", dt);
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The value-fit detector (paper §5.1) is data-volume bound: it reads
 //! whole columns, value by value, many times. CSG conversion (§4) reads
-//! tuples, which it gets by walking one table's columns side by side.
+//! each column's distinct values and the code of every row's value.
 //! Both read the same [`Column`]s; no row-major copy of the data exists.
 //!
 //! A [`Column`] is a contiguous, typed copy of one attribute's cells,
@@ -21,8 +21,18 @@
 //!
 //! Cells read back as [`ValueRef`]s — borrowed, `Copy` views that
 //! reproduce [`Value`] semantics without materialising owned values.
+//!
+//! [`Column::distinct_codes`] numbers a column's distinct non-null
+//! values in first-seen row order and gives every row its value's code
+//! ([`DistinctCodes`]). A text column already holds that numbering, its
+//! dictionary; every other column gets it from one typed pass. It is the
+//! one implementation behind [`Column::distinct_values`] and
+//! [`Column::distinct_count`], and CSG conversion (paper §4.1) reads an
+//! attribute node's elements and its tuple → value links straight off
+//! it.
 
 use crate::value::Value;
+use std::borrow::Cow;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 
 /// A borrowed, `Copy` view of one cell.
@@ -212,8 +222,216 @@ impl NullBitmap {
     }
 }
 
-/// Sentinel code marking a NULL row in a [`TextColumn`].
+/// Sentinel code marking a NULL row in a [`TextColumn`] or a
+/// [`DistinctCodes`].
 pub const NULL_CODE: u32 = u32::MAX;
+
+/// Look a key up in an open-addressing index whose slots hold a code
+/// plus one, `0` marking an empty slot. Probes linearly from `hash` and
+/// returns the code whose key `is` accepts, or the empty slot where the
+/// key belongs. The index's length is a power of two and it keeps at
+/// least one slot empty.
+fn probe(index: &[u32], hash: u64, is: impl Fn(u32) -> bool) -> Result<u32, usize> {
+    let mask = index.len() - 1;
+    let mut slot = hash as usize & mask;
+    loop {
+        match index[slot] {
+            0 => return Err(slot),
+            stored if is(stored - 1) => return Ok(stored - 1),
+            _ => slot = (slot + 1) & mask,
+        }
+    }
+}
+
+/// Number the keys of `n` rows in first-seen order. `key(i)` is row
+/// `i`'s key, `None` for a NULL row; at most `bound` keys are distinct.
+/// Returns each row's code ([`NULL_CODE`] for NULL rows), the distinct
+/// keys in code order, and the index over them, sized once so that it
+/// is at most half full.
+fn number<K: Copy + PartialEq>(
+    n: usize,
+    bound: usize,
+    key: impl Fn(usize) -> Option<K>,
+    hash: impl Fn(K) -> u64,
+) -> (Vec<u32>, Vec<K>, Vec<u32>) {
+    let mut index = vec![0u32; (2 * bound).next_power_of_two().max(8)];
+    let mut codes = Vec::with_capacity(n);
+    let mut keys: Vec<K> = Vec::new();
+    for i in 0..n {
+        let Some(k) = key(i) else {
+            codes.push(NULL_CODE);
+            continue;
+        };
+        let code = match probe(&index, hash(k), |c| keys[c as usize] == k) {
+            Ok(code) => code,
+            Err(slot) => {
+                let code = u32::try_from(keys.len())
+                    .ok()
+                    .filter(|&c| c != NULL_CODE)
+                    .expect("a column holds fewer than u32::MAX distinct values");
+                keys.push(k);
+                index[slot] = code + 1;
+                code
+            }
+        };
+        codes.push(code);
+    }
+    (codes, keys, index)
+}
+
+/// A column's distinct non-null values, numbered in first-seen row
+/// order (code `c` is the `c`-th distinct value a walk down the rows
+/// meets), and every row's code. Built by [`Column::distinct_codes`].
+///
+/// A text column lends its dictionary: its codes and its index. Any
+/// other column is numbered by one pass over its typed slots, keyed on
+/// the machine word (a float by its bit pattern, as [`Value`] compares
+/// floats) and hashed with a random seed per numbering, as a text
+/// column's index is, so values from outside the program cannot be
+/// crafted to collide. The seed decides where a value is filed in the
+/// index, never its code.
+#[derive(Debug)]
+pub struct DistinctCodes<'a> {
+    /// Per-row code, [`NULL_CODE`] for NULL rows.
+    codes: Cow<'a, [u32]>,
+    /// The distinct values in code order, and their index.
+    values: Distinct<'a>,
+}
+
+/// Where a [`DistinctCodes`] finds its values and their index.
+#[derive(Debug)]
+enum Distinct<'a> {
+    /// A text column's dictionary and index.
+    Dict(&'a TextColumn),
+    /// An integer, float or boolean column's values as machine words.
+    Words {
+        kind: WordKind,
+        words: Vec<u64>,
+        index: Vec<u32>,
+        hasher: RandomState,
+    },
+    /// A mixed column's cells.
+    Cells {
+        cells: Vec<ValueRef<'a>>,
+        index: Vec<u32>,
+        hasher: RandomState,
+    },
+}
+
+/// The typed variant whose values a [`Distinct::Words`] holds.
+#[derive(Debug, Clone, Copy)]
+enum WordKind {
+    Int,
+    Float,
+    Bool,
+}
+
+impl WordKind {
+    /// The word `v` is keyed on, if it is a cell of this kind.
+    fn word(self, v: ValueRef<'_>) -> Option<u64> {
+        match (self, v) {
+            (WordKind::Int, ValueRef::Int(i)) => Some(i as u64),
+            (WordKind::Float, ValueRef::Float(f)) => Some(f.to_bits()),
+            (WordKind::Bool, ValueRef::Bool(b)) => Some(b as u64),
+            _ => None,
+        }
+    }
+
+    /// The cell keyed on `word`.
+    fn value(self, word: u64) -> ValueRef<'static> {
+        match self {
+            WordKind::Int => ValueRef::Int(word as i64),
+            WordKind::Float => ValueRef::Float(f64::from_bits(word)),
+            WordKind::Bool => ValueRef::Bool(word != 0),
+        }
+    }
+}
+
+impl<'a> DistinctCodes<'a> {
+    /// Number a typed column's values: `word(i)` is row `i`'s word
+    /// unless `nulls` marks it NULL, and at most `bound` are distinct.
+    fn of_words(
+        kind: WordKind,
+        nulls: &NullBitmap,
+        n: usize,
+        bound: usize,
+        word: impl Fn(usize) -> u64,
+    ) -> Self {
+        let hasher = RandomState::new();
+        let (codes, words, index) = number(
+            n,
+            bound,
+            |i| (!nulls.is_null(i)).then(|| word(i)),
+            |w| hasher.hash_one(w),
+        );
+        DistinctCodes {
+            codes: Cow::Owned(codes),
+            values: Distinct::Words {
+                kind,
+                words,
+                index,
+                hasher,
+            },
+        }
+    }
+
+    /// Number of distinct non-null values.
+    pub fn len(&self) -> usize {
+        match &self.values {
+            Distinct::Dict(t) => t.dict_len(),
+            Distinct::Words { words, .. } => words.len(),
+            Distinct::Cells { cells, .. } => cells.len(),
+        }
+    }
+
+    /// `true` iff the column holds no non-null value.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Per-row codes, [`NULL_CODE`] for NULL rows.
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
+    }
+
+    /// The distinct value numbered `code`.
+    pub fn value(&self, code: u32) -> ValueRef<'a> {
+        let c = code as usize;
+        match &self.values {
+            Distinct::Dict(t) => ValueRef::Text(t.dict_str(code)),
+            Distinct::Words { kind, words, .. } => kind.value(words[c]),
+            Distinct::Cells { cells, .. } => cells[c],
+        }
+    }
+
+    /// The code of `v`, if the column holds it. Cells of different
+    /// variants are never equal, as in [`ValueRef`]'s equality, and NULL
+    /// has no code.
+    pub fn code_of(&self, v: ValueRef<'_>) -> Option<u32> {
+        match &self.values {
+            Distinct::Dict(t) => t.find(v.as_text()?).ok(),
+            Distinct::Words {
+                kind,
+                words,
+                index,
+                hasher,
+            } => {
+                let w = kind.word(v)?;
+                probe(index, hasher.hash_one(w), |c| words[c as usize] == w).ok()
+            }
+            Distinct::Cells {
+                cells,
+                index,
+                hasher,
+            } => {
+                if v.is_null() {
+                    return None;
+                }
+                probe(index, hasher.hash_one(v), |c| cells[c as usize] == v).ok()
+            }
+        }
+    }
+}
 
 /// Dictionary-encoded text column: every distinct string is stored once
 /// in a shared arena (in first-seen order), rows hold `u32` codes.
@@ -265,23 +483,19 @@ impl TextColumn {
 
     /// Append a non-null row, adding `s` to the dictionary on first sight.
     fn push(&mut self, s: &str) {
-        let slot = self.slot_of(s);
-        let code = match self.index[slot] {
-            0 => self.intern(s, slot),
-            stored => stored - 1,
+        let code = match self.find(s) {
+            Ok(code) => code,
+            Err(slot) => self.intern(s, slot),
         };
         self.counts[code as usize] += 1;
         self.codes.push(code);
     }
 
-    /// The index slot holding `s`, or the empty slot where it belongs.
-    fn slot_of(&self, s: &str) -> usize {
-        let mask = self.index.len() - 1;
-        let mut slot = self.hasher.hash_one(s) as usize & mask;
-        while self.index[slot] != 0 && self.dict_str(self.index[slot] - 1) != s {
-            slot = (slot + 1) & mask;
-        }
-        slot
+    /// The code of `s`, or the empty index slot where it belongs.
+    fn find(&self, s: &str) -> Result<u32, usize> {
+        probe(&self.index, self.hasher.hash_one(s), |code| {
+            self.dict_str(code) == s
+        })
     }
 
     /// Append `s` to the dictionary, filing it in the empty index `slot`;
@@ -299,13 +513,11 @@ impl TextColumn {
             // Double the index and refile every code; the strings are
             // distinct, so each lands in the first empty slot it probes.
             self.index = vec![0; 2 * self.index.len()];
-            let mask = self.index.len() - 1;
             for code in 0..=code {
-                let mut slot = self.hasher.hash_one(self.dict_str(code)) as usize & mask;
-                while self.index[slot] != 0 {
-                    slot = (slot + 1) & mask;
+                let hash = self.hasher.hash_one(self.dict_str(code));
+                if let Err(slot) = probe(&self.index, hash, |_| false) {
+                    self.index[slot] = code + 1;
                 }
-                self.index[slot] = code + 1;
             }
         }
         code
@@ -624,99 +836,68 @@ impl Column {
         ColumnIter { col: self, i: 0 }
     }
 
-    /// Distinct non-null values in first-seen order — the columnar
-    /// backend of [`Instance::distinct_values`](crate::Instance::distinct_values).
-    ///
-    /// For text columns this is a plain dictionary scan (the dictionary
-    /// *is* the first-seen distinct set); typed numeric columns hash
-    /// machine words instead of `Value`s.
-    pub fn distinct_values(&self) -> Vec<Value> {
+    /// Number the column's distinct non-null values in first-seen row
+    /// order and give every row its value's code — see
+    /// [`DistinctCodes`]. O(1) for a text column, whose dictionary is
+    /// that numbering; one pass over the typed slots otherwise.
+    pub fn distinct_codes(&self) -> DistinctCodes<'_> {
         match self {
-            Column::Text(t) => t.dict_iter().map(|s| Value::Text(s.to_owned())).collect(),
+            Column::Text(t) => DistinctCodes {
+                codes: Cow::Borrowed(&t.codes),
+                values: Distinct::Dict(t),
+            },
             Column::Int { values, nulls } => {
-                let mut seen = std::collections::HashSet::new();
-                let mut out = Vec::new();
-                for (i, v) in values.iter().enumerate() {
-                    if !nulls.is_null(i) && seen.insert(*v) {
-                        out.push(Value::Int(*v));
-                    }
-                }
-                out
+                let n = values.len();
+                DistinctCodes::of_words(WordKind::Int, nulls, n, n - nulls.count(), |i| {
+                    values[i] as u64
+                })
             }
             Column::Float { values, nulls } => {
-                // `f64::to_bits` keys match `Value`'s float Hash/Eq
-                // (both are bit-exact, so NaN payloads and -0.0 vs 0.0
-                // stay distinct).
-                let mut seen = std::collections::HashSet::new();
-                let mut out = Vec::new();
-                for (i, v) in values.iter().enumerate() {
-                    if !nulls.is_null(i) && seen.insert(v.to_bits()) {
-                        out.push(Value::Float(*v));
-                    }
-                }
-                out
+                let n = values.len();
+                DistinctCodes::of_words(WordKind::Float, nulls, n, n - nulls.count(), |i| {
+                    values[i].to_bits()
+                })
             }
             Column::Bool { values, nulls } => {
-                let mut seen = [false; 2];
-                let mut out = Vec::new();
-                for (i, v) in values.iter().enumerate() {
-                    if !nulls.is_null(i) && !seen[*v as usize] {
-                        seen[*v as usize] = true;
-                        out.push(Value::Bool(*v));
-                    }
-                }
-                out
+                let n = values.len();
+                DistinctCodes::of_words(WordKind::Bool, nulls, n, (n - nulls.count()).min(2), |i| {
+                    values[i] as u64
+                })
             }
-            Column::Mixed { cells, .. } => {
-                let mut seen = std::collections::HashSet::new();
-                let mut out = Vec::new();
-                for v in cells {
-                    if !v.is_null() && seen.insert(v) {
-                        out.push(v.clone());
-                    }
+            Column::Mixed { cells, nulls } => {
+                let hasher = RandomState::new();
+                let (codes, cells, index) = number(
+                    cells.len(),
+                    cells.len() - nulls,
+                    |i| Some(ValueRef::of(&cells[i])).filter(|v| !v.is_null()),
+                    |v| hasher.hash_one(v),
+                );
+                DistinctCodes {
+                    codes: Cow::Owned(codes),
+                    values: Distinct::Cells {
+                        cells,
+                        index,
+                        hasher,
+                    },
                 }
-                out
             }
         }
     }
 
-    /// Number of distinct non-null values — the allocation-free
-    /// counterpart of [`Column::distinct_values`].
+    /// Distinct non-null values in first-seen order — the columnar
+    /// backend of [`Instance::distinct_values`](crate::Instance::distinct_values),
+    /// read off [`Column::distinct_codes`].
+    pub fn distinct_values(&self) -> Vec<Value> {
+        let distinct = self.distinct_codes();
+        (0..distinct.len() as u32)
+            .map(|code| distinct.value(code).to_value())
+            .collect()
+    }
+
+    /// Number of distinct non-null values — the length of
+    /// [`Column::distinct_codes`], without cloning a value.
     pub fn distinct_count(&self) -> usize {
-        match self {
-            Column::Text(t) => t.dict_len(),
-            Column::Int { values, nulls } => {
-                let mut seen = std::collections::HashSet::new();
-                values
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, v)| !nulls.is_null(*i) && seen.insert(**v))
-                    .count()
-            }
-            Column::Float { values, nulls } => {
-                let mut seen = std::collections::HashSet::new();
-                values
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, v)| !nulls.is_null(*i) && seen.insert(v.to_bits()))
-                    .count()
-            }
-            Column::Bool { values, nulls } => {
-                let mut seen = [false; 2];
-                let mut n = 0;
-                for (i, v) in values.iter().enumerate() {
-                    if !nulls.is_null(i) && !seen[*v as usize] {
-                        seen[*v as usize] = true;
-                        n += 1;
-                    }
-                }
-                n
-            }
-            Column::Mixed { cells, .. } => {
-                let mut seen = std::collections::HashSet::new();
-                cells.iter().filter(|v| !v.is_null() && seen.insert(*v)).count()
-            }
-        }
+        self.distinct_codes().len()
     }
 
     /// `true` iff `other`'s first `self.len()` rows equal `self`'s rows
@@ -853,6 +1034,105 @@ mod tests {
         // -0.0 and 0.0 differ under Value's total ordering; the column
         // must agree.
         assert_eq!(c.distinct_count(), 2);
+    }
+
+    #[test]
+    fn distinct_codes_number_first_seen_values_in_every_variant() {
+        let nan_b = f64::from_bits(f64::NAN.to_bits() | 1);
+        let shapes: Vec<Vec<Value>> = vec![
+            vec![
+                Value::Int(3),
+                Value::Null,
+                Value::Int(-1),
+                Value::Int(3),
+                Value::Int(0),
+            ],
+            vec![
+                Value::Float(0.0),
+                Value::Float(-0.0),
+                Value::Float(f64::NAN),
+                Value::Null,
+                Value::Float(nan_b),
+                Value::Float(f64::NAN),
+                Value::Float(0.0),
+            ],
+            vec![
+                Value::Text("b".into()),
+                Value::Null,
+                Value::Text("a".into()),
+                Value::Text("b".into()),
+            ],
+            vec![
+                Value::Bool(false),
+                Value::Bool(false),
+                Value::Null,
+                Value::Bool(true),
+            ],
+            vec![
+                Value::Int(1),
+                Value::Text("1".into()),
+                Value::Float(1.0),
+                Value::Int(1),
+                Value::Null,
+            ],
+            vec![Value::Null, Value::Null],
+            vec![],
+        ];
+        for cells in shapes {
+            let column = Column::from_cells(cells.clone());
+            let distinct = column.distinct_codes();
+            // The oracle: a walk down the rows under `Value` equality.
+            let mut values: Vec<Value> = Vec::new();
+            let codes: Vec<u32> = cells
+                .iter()
+                .map(|v| {
+                    if v.is_null() {
+                        return NULL_CODE;
+                    }
+                    let code = values.iter().position(|u| u == v).unwrap_or_else(|| {
+                        values.push(v.clone());
+                        values.len() - 1
+                    });
+                    code as u32
+                })
+                .collect();
+            let label = column.type_label();
+            assert_eq!(distinct.codes(), &codes[..], "{label}");
+            assert_eq!(distinct.len(), values.len(), "{label}");
+            for (code, v) in (0u32..).zip(&values) {
+                assert_eq!(&distinct.value(code).to_value(), v, "{label}");
+                assert_eq!(distinct.code_of(ValueRef::of(v)), Some(code), "{label}");
+            }
+            assert_eq!(distinct.code_of(ValueRef::Null), None, "{label}");
+            // Another numbering draws another seed, and the same codes.
+            assert_eq!(column.distinct_codes().codes(), distinct.codes(), "{label}");
+            assert_eq!(column.distinct_values(), values, "{label}");
+            assert_eq!(column.distinct_count(), values.len(), "{label}");
+        }
+    }
+
+    #[test]
+    fn distinct_codes_never_match_across_variants() {
+        // The same machine word under another variant is another value.
+        let ints = Column::from_cells(vec![Value::Int(1), Value::Int(0)]);
+        let ints = ints.distinct_codes();
+        assert_eq!(ints.code_of(ValueRef::Int(1)), Some(0));
+        assert_eq!(ints.code_of(ValueRef::Float(f64::from_bits(1))), None);
+        assert_eq!(ints.code_of(ValueRef::Float(1.0)), None);
+        assert_eq!(ints.code_of(ValueRef::Bool(true)), None);
+        assert_eq!(ints.code_of(ValueRef::Text("1")), None);
+        let text = Column::from_cells(vec![Value::Text("1".into())]);
+        assert_eq!(text.distinct_codes().code_of(ValueRef::Int(1)), None);
+        let mixed = Column::from_cells(vec![
+            Value::Int(1),
+            Value::Float(f64::from_bits(1)),
+            Value::Bool(true),
+            Value::Text("1".into()),
+        ]);
+        let mixed = mixed.distinct_codes();
+        assert_eq!(mixed.len(), 4);
+        assert_eq!(mixed.code_of(ValueRef::Bool(true)), Some(2));
+        assert_eq!(mixed.code_of(ValueRef::Int(2)), None);
     }
 
     #[test]

@@ -302,8 +302,8 @@ impl Instance {
     }
 
     /// The number of distinct non-null values of one column — the
-    /// allocation-free variant of [`Instance::distinct_values`] for the
-    /// (common) callers that only need the count.
+    /// variant of [`Instance::distinct_values`] that clones no value,
+    /// for the (common) callers that only need the count.
     pub fn distinct_count(&self, table: TableId, attr: AttrId) -> usize {
         match self.table(table).column_store(attr) {
             Some(col) => col.distinct_count(),

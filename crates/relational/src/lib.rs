@@ -40,7 +40,7 @@ pub mod value;
 
 pub use builder::{DatabaseBuilder, TableBuilder};
 pub use constraint::{Constraint, ConstraintKind, ConstraintSet};
-pub use column::{Column, ColumnIter, TextColumn, ValueRef};
+pub use column::{Column, ColumnIter, DistinctCodes, TextColumn, ValueRef};
 pub use database::Database;
 pub use datatype::DataType;
 pub use error::{Error, Result};

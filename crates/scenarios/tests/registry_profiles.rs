@@ -4,7 +4,9 @@
 //! `PartialProfile` accumulator must be bit-identical (`==`, exact float
 //! bits) to the multi-pass oracle — both when it profiles the column
 //! cold and when it absorbs the column as a prefix plus an appended tail
-//! (the O(delta) upload path).
+//! (the O(delta) upload path). Either way its distinct count must be
+//! the column's own (`Column::distinct_count`), which the value module
+//! relies on.
 //!
 //! The same differentials over arbitrary synthetic columns live with
 //! the profiling crate; this test closes the loop on real scenarios.
@@ -39,6 +41,13 @@ fn check_database(db: &Database, label: &str) -> usize {
                 let oracle = AttributeProfile::compute_multipass(cells(), rt);
                 let cold = AttributeProfile::of_attribute(db, TableId(ti), AttrId(ai), rt);
                 assert_eq!(cold, oracle, "accumulator != multipass for {where_}");
+                // The value module reads a column's distinct count off
+                // its profile.
+                assert_eq!(
+                    cold.constancy.distinct,
+                    col.distinct_count(),
+                    "profiled distinct count != Column::distinct_count for {where_}"
+                );
 
                 let half = col.len() / 2;
                 let mut appended = PartialProfile::new(rt);
@@ -46,10 +55,12 @@ fn check_database(db: &Database, label: &str) -> usize {
                 appended
                     .accumulate_range(col, half, col.len(), &ck)
                     .unwrap();
+                let appended = appended.finalize();
+                assert_eq!(appended, oracle, "prefix + tail != multipass for {where_}");
                 assert_eq!(
-                    appended.finalize(),
-                    oracle,
-                    "prefix + tail != multipass for {where_}"
+                    appended.constancy.distinct,
+                    col.distinct_count(),
+                    "prefix + tail distinct count != Column::distinct_count for {where_}"
                 );
                 checked += 1;
             }

@@ -872,7 +872,11 @@ fn refresh_extended_cache(state: &Arc<ServerState>, name: &str, growth: &[TableG
     };
     let fresh = state.cache_for(name);
     let run = RunContext::unbounded();
-    for (key, profile, partial) in old.snapshot_partials() {
+    // Dropping the old cache leaves the snapshot as the only owner of
+    // each partial, unless an in-flight estimate still holds the cache.
+    let partials = old.snapshot_partials();
+    drop(old);
+    for (key, profile, partial) in partials {
         let (source, db) = if key.db == DbTag::TARGET {
             (None, &scenario.target)
         } else {
@@ -899,7 +903,9 @@ fn refresh_extended_cache(state: &Arc<ServerState>, name: &str, growth: &[TableG
         let Some(col) = db.instance.table(key.table).column_store(key.attr) else {
             continue;
         };
-        let mut grown = (*partial).clone();
+        // Grown in place when it is ours alone; copied only while the
+        // old cache is still shared.
+        let mut grown = Arc::try_unwrap(partial).unwrap_or_else(|p| (*p).clone());
         let ck = run.checkpoint();
         if grown
             .accumulate_range(col, g.old_rows, g.new_rows, &ck)
