@@ -1,7 +1,7 @@
 //! Serving overhead: one estimate through `efes-serve` over a loopback
 //! socket versus the same estimate as a direct library call. The delta
-//! is the full service tax — connection setup, HTTP parsing, queueing,
-//! the worker handoff, and JSON serialisation of the response.
+//! is the full service tax — connection setup and its thread, HTTP
+//! parsing, taking a permit, and JSON serialisation of the response.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use efes::prelude::*;

@@ -1,6 +1,7 @@
-//! Cooperative in-flight cancellation: [`RunContext`] and [`Checkpoint`].
+//! Cooperative in-flight cancellation: [`CancellationToken`],
+//! [`RunContext`] and [`Checkpoint`].
 //!
-//! A [`CancellationToken`] lets a producer
+//! A [`CancellationToken`] lets a caller
 //! *request* that work stop; this module is how long-running kernels
 //! *honour* that request while it is still cheap to do so. A
 //! [`RunContext`] bundles the token with an optional deadline, and a
@@ -23,13 +24,39 @@
 //!   shared state (e.g. a `ProfileCache` fill slot) must be valid at
 //!   every `?`.
 
-use crate::CancellationToken;
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How many [`Checkpoint::tick`]s elapse between consultations of the
 /// shared cancellation state (a power of two so the test is a mask).
 pub const CHECK_INTERVAL: u32 = 1 << 14;
+
+/// A clonable flag for cooperative cancellation: whoever no longer
+/// wants a run's result calls [`cancel`](CancellationToken::cancel),
+/// and the run observes it through its [`RunContext`].
+#[derive(Debug, Clone, Default)]
+pub struct CancellationToken {
+    flag: Arc<AtomicBool>,
+}
+
+impl CancellationToken {
+    /// A fresh, un-cancelled token.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Signal cancellation to every clone of this token.
+    pub fn cancel(&self) {
+        self.flag.store(true, Ordering::Release);
+    }
+
+    /// Whether any clone has been cancelled.
+    pub fn is_cancelled(&self) -> bool {
+        self.flag.load(Ordering::Acquire)
+    }
+}
 
 /// The unit error a cancelled kernel unwinds with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,6 +270,15 @@ mod tests {
             Some(Instant::now() + Duration::from_secs(3600)),
         );
         assert_eq!(ctx.check(), Ok(()));
+    }
+
+    #[test]
+    fn cancellation_token_is_shared_across_clones() {
+        let token = CancellationToken::new();
+        let clone = token.clone();
+        assert!(!clone.is_cancelled());
+        token.cancel();
+        assert!(clone.is_cancelled());
     }
 
     #[test]

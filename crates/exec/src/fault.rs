@@ -1,12 +1,12 @@
 //! Deterministic, seeded fault injection for chaos testing.
 //!
-//! Production failure paths — a panicking job, a stalled stage, a
+//! Production failure paths — a panicking estimate, a stalled stage, a
 //! spuriously cancelled request, an allocation budget trip — are
 //! exercised rarely by accident and must therefore be exercised on
 //! purpose. This module provides named *injection sites* that the
-//! serving stack consults at well-chosen spots: `exec.pool.job`,
-//! `serve.estimate.job`, `ingest.upload` and `profiling.fill` (once per
-//! `ProfileCache` miss). Whether a site fires, and
+//! serving stack consults at well-chosen spots: `serve.estimate.job`
+//! (once per admitted estimate), `ingest.upload` and `profiling.fill`
+//! (once per `ProfileCache` miss). Whether a site fires, and
 //! with which fault, is a pure function of the [`FAULTS_ENV_VAR`] spec
 //! (seed, rate, site filter, mode set) and a per-site hit counter — so
 //! a given seed replays the exact same fault schedule, run after run.
@@ -43,11 +43,11 @@ pub const FAULTS_ENV_VAR: &str = "EFES_FAULTS";
 pub enum FaultAction {
     /// Proceed normally (the overwhelmingly common case).
     None,
-    /// Panic at the site — must stay isolated (worker survives).
+    /// Panic at the site — must stay isolated (the server survives).
     Panic,
     /// Stall for the given duration before proceeding.
     Delay(Duration),
-    /// Cancel the request's token as if the client had vanished.
+    /// Cancel the run's token, as if its caller had given up.
     Cancel,
     /// Behave as if an allocation/memory budget were exhausted.
     AllocCap,

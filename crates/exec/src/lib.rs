@@ -12,6 +12,12 @@
 //! worker. Pipeline units are coarse (a whole correspondence, a whole
 //! module) and few, so chunking overhead dominates only below the
 //! parallelism threshold where we fall back to a plain loop anyway.
+//!
+//! Two modules make runs stoppable and their failure paths testable:
+//! [`ctx`] carries a caller's [`CancellationToken`] and deadline into
+//! the row-scale kernels as a [`RunContext`], and [`fault`] injects
+//! seeded faults at named sites. The crate spawns no long-lived thread;
+//! `efes-serve` runs each estimate on its own connection thread.
 
 use std::sync::Once;
 use std::thread;
@@ -19,10 +25,8 @@ use std::time::Instant;
 
 pub mod ctx;
 pub mod fault;
-pub mod pool;
 
-pub use ctx::{Cancelled, Checkpoint, RunContext, CHECK_INTERVAL};
-pub use pool::{CancellationToken, Job, SubmitError, WorkerPool};
+pub use ctx::{CancellationToken, Cancelled, Checkpoint, RunContext, CHECK_INTERVAL};
 
 /// Environment variable forcing the thread budget: `1` means fully
 /// sequential, `N > 1` caps workers at `N`. Unset falls back to the

@@ -28,15 +28,17 @@
 //! * `GET /healthz` — liveness;
 //! * `GET /metrics` — Prometheus text: request counters, per-stage
 //!   latency histograms fed from the pipeline's own timings, profile-
-//!   cache hit/miss/eviction counters, queue depth;
+//!   cache hit/miss/eviction counters, permits in use and waiting;
 //! * `POST /shutdown` — graceful stop (opt-in, for CI and supervisors).
 //!
-//! Overload never queues unboundedly: the worker pool's queue is
-//! bounded (full → `429` + `Retry-After`), connections are capped
-//! (`503`), deadlines expire into `503` with the queued job cancelled
-//! cooperatively, and shutdown drains accepted work. Estimates returned
-//! over the wire are byte-identical to library calls — the server adds
-//! scheduling, never arithmetic.
+//! Each estimate runs on its own connection thread once it holds one of
+//! `--workers` permits. Overload never queues unboundedly: at most
+//! `--queue-capacity` estimates wait for a permit, oldest first (beyond
+//! that → `429` + `Retry-After`), connections are capped (`503`), a
+//! deadline answers `503` — at once for a waiting estimate, at the next
+//! cancellation checkpoint for a running one — and shutdown drains
+//! accepted work. Estimates returned over the wire are byte-identical
+//! to library calls — the server adds scheduling, never arithmetic.
 
 #![warn(missing_docs)]
 

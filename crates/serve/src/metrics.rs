@@ -100,17 +100,17 @@ impl Endpoint {
 }
 
 /// Gauges sampled by the server at scrape time and passed to
-/// [`Metrics::render`] — values owned by other subsystems (the worker
-/// pool, the per-scenario profile caches).
+/// [`Metrics::render`] — values owned by other subsystems (the
+/// admission gate, the per-scenario profile caches).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sampled {
-    /// Jobs waiting in the bounded queue.
+    /// Estimates waiting for a permit.
     pub queue_depth: usize,
-    /// The queue's capacity bound.
+    /// Bound on estimates waiting for a permit.
     pub queue_capacity: usize,
-    /// Jobs currently executing.
+    /// Estimates running, each holding a permit.
     pub in_flight: usize,
-    /// Worker threads.
+    /// Permits: estimates that may run at once.
     pub workers: usize,
     /// Profile-cache entries resident across all scenario caches.
     pub cache_entries: usize,
@@ -131,8 +131,8 @@ pub struct Sampled {
     pub scenarios_uploaded: usize,
 }
 
-/// The registry: counters the request path bumps, histograms the job
-/// path feeds, and a renderer for the exposition format.
+/// The registry: counters the request path bumps, histograms each
+/// finished estimate feeds, and a renderer for the exposition format.
 #[derive(Debug, Default)]
 pub struct Metrics {
     requests: [AtomicU64; 7],
@@ -144,7 +144,8 @@ pub struct Metrics {
     pub rejected_queue_full: AtomicU64,
     /// Requests whose deadline expired before completion (`503`).
     pub deadline_expired: AtomicU64,
-    /// Estimation jobs skipped because their caller had already given up.
+    /// Estimates whose deadline expired while they waited for a permit,
+    /// so they never ran.
     pub jobs_abandoned: AtomicU64,
     /// Malformed requests answered `400`.
     pub bad_requests: AtomicU64,
@@ -172,19 +173,15 @@ pub struct Metrics {
     pub profile_deltas: AtomicU64,
     /// Appended rows absorbed by those incremental profile refreshes.
     pub profile_delta_rows: AtomicU64,
-    /// Panics caught at an isolation boundary (estimation job or
+    /// Panics caught at an isolation boundary (an estimate or its
     /// connection handler) without taking the server down.
     pub panics_recovered: AtomicU64,
     /// Estimation runs that aborted cooperatively, keyed by the pipeline
     /// stage that observed the cancellation.
     cancelled_in_stage: Mutex<BTreeMap<String, u64>>,
-    /// Worker time (microseconds) handed back by cooperative aborts:
-    /// per cancelled run, the mean uncancelled estimate latency minus
-    /// the time the run actually held a worker.
-    reclaimed_micros: AtomicU64,
     /// Per-stage latency histograms, keyed by pipeline stage name.
     stage_latency: Mutex<BTreeMap<String, Histogram>>,
-    /// End-to-end estimate latency (queue wait + execution).
+    /// End-to-end estimate latency (wait for a permit + execution).
     request_latency: Mutex<Histogram>,
 }
 
@@ -234,19 +231,9 @@ impl Metrics {
             .unwrap_or(0)
     }
 
-    /// Credit `micros` of worker time reclaimed by a cooperative abort.
-    pub fn add_reclaimed_micros(&self, micros: u64) {
-        self.reclaimed_micros.fetch_add(micros, Ordering::Relaxed);
-    }
-
-    /// Total worker microseconds reclaimed so far (for tests).
-    pub fn reclaimed_micros(&self) -> u64 {
-        self.reclaimed_micros.load(Ordering::Relaxed)
-    }
-
     /// Mean end-to-end latency of completed estimates in milliseconds,
-    /// or `None` before the first completion. Used as the baseline when
-    /// crediting reclaimed worker time.
+    /// or `None` before the first completion. Tests size deadlines from
+    /// it, so a deadline stays a fixed share of this build's speed.
     pub fn mean_request_latency_ms(&self) -> Option<f64> {
         let latency = self.request_latency.lock().expect("metrics poisoned");
         (latency.total > 0).then(|| latency.sum_ms / latency.total as f64)
@@ -280,7 +267,7 @@ impl Metrics {
             ),
             (
                 "efes_rejected_total",
-                "Estimate requests shed with 429 because the queue was full.",
+                "Estimate requests shed with 429 because the queue for a permit was full.",
                 self.rejected_queue_full.load(Ordering::Relaxed),
             ),
             (
@@ -290,7 +277,7 @@ impl Metrics {
             ),
             (
                 "efes_jobs_abandoned_total",
-                "Queued jobs skipped because the caller had given up.",
+                "Estimates whose deadline expired while they waited for a permit.",
                 self.jobs_abandoned.load(Ordering::Relaxed),
             ),
             (
@@ -380,16 +367,6 @@ impl Metrics {
         }
 
         out.push_str(
-            "# HELP efes_worker_seconds_reclaimed_total Worker time handed back by cooperative aborts (mean uncancelled latency minus time actually held).\n",
-        );
-        out.push_str("# TYPE efes_worker_seconds_reclaimed_total counter\n");
-        let _ = writeln!(
-            out,
-            "efes_worker_seconds_reclaimed_total {}",
-            self.reclaimed_micros.load(Ordering::Relaxed) as f64 / 1e6
-        );
-
-        out.push_str(
             "# HELP efes_fault_injected_total Faults injected by the EFES_FAULTS harness, by site and mode.\n",
         );
         out.push_str("# TYPE efes_fault_injected_total counter\n");
@@ -421,22 +398,22 @@ impl Metrics {
         let gauges: [(&str, &str, u64); 12] = [
             (
                 "efes_queue_depth",
-                "Jobs waiting in the bounded queue.",
+                "Estimates waiting for a permit.",
                 sampled.queue_depth as u64,
             ),
             (
                 "efes_queue_capacity",
-                "Capacity bound of the job queue.",
+                "Bound on estimates waiting for a permit; beyond it requests shed with 429.",
                 sampled.queue_capacity as u64,
             ),
             (
                 "efes_jobs_in_flight",
-                "Jobs currently executing.",
+                "Estimates running, each holding a permit.",
                 sampled.in_flight as u64,
             ),
             (
                 "efes_workers",
-                "Worker threads in the pool.",
+                "Permits: estimates that may run at once, each on its connection thread.",
                 sampled.workers as u64,
             ),
             (
@@ -503,7 +480,7 @@ impl Metrics {
         }
 
         out.push_str(
-            "# HELP efes_request_latency_ms End-to-end estimate latency (queue wait + execution).\n",
+            "# HELP efes_request_latency_ms End-to-end estimate latency (wait for a permit + execution).\n",
         );
         out.push_str("# TYPE efes_request_latency_ms histogram\n");
         render_histogram(
@@ -561,7 +538,6 @@ mod tests {
         m.profile_delta_rows.fetch_add(500, Ordering::Relaxed);
         m.count_cancelled_stage("values");
         m.count_cancelled_stage("values");
-        m.add_reclaimed_micros(1_500_000);
         let text = m.render(&Sampled {
             queue_depth: 2,
             queue_capacity: 8,
@@ -598,14 +574,12 @@ mod tests {
         assert!(text.contains("efes_request_latency_ms_sum 42"));
         assert!(text.contains("efes_panics_recovered_total 1"));
         assert!(text.contains("efes_cancelled_in_stage_total{stage=\"values\"} 2"));
-        assert!(text.contains("efes_worker_seconds_reclaimed_total 1.5"));
         assert!(text.contains("# TYPE efes_fault_injected_total counter"));
         assert!(text.contains("efes_ingest_extended_total 1"));
         assert!(text.contains("efes_profile_delta_total 2"));
         assert!(text.contains("efes_profile_delta_rows_total 500"));
         assert_eq!(m.cancelled_in_stage("values"), 2);
         assert_eq!(m.cancelled_in_stage("structure"), 0);
-        assert_eq!(m.reclaimed_micros(), 1_500_000);
         assert_eq!(m.mean_request_latency_ms(), Some(42.0));
         assert!(Metrics::new().mean_request_latency_ms().is_none());
     }

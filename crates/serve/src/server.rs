@@ -1,14 +1,17 @@
-//! The estimation server: a `std`-only TCP acceptor in front of a
-//! bounded worker pool.
+//! The estimation server: a `std`-only TCP acceptor, one handler thread
+//! per connection, and an admission gate in front of estimation.
 //!
-//! The shape is deliberately boring: one acceptor thread, one handler
-//! thread per connection (capped), and a fixed [`WorkerPool`] executing
-//! the actual estimates. Every overload path is explicit — a full job
-//! queue sheds with `429` + `Retry-After`, a connection cap sheds with
-//! `503`, an expired per-request deadline answers `503` and cancels the
-//! queued job cooperatively, and shutdown drains everything already
-//! accepted before returning. All of it is observable at
-//! `GET /metrics` (see [`crate::metrics`]).
+//! The shape is deliberately boring: one acceptor thread, and one
+//! handler thread per connection (capped) that parses its request and,
+//! for `POST /estimate`, runs the estimate itself once it holds one of
+//! `workers` permits. While every permit is taken it waits, oldest
+//! first, behind at most `queue_capacity` others. Every overload path
+//! is explicit — a full queue sheds with `429` + `Retry-After`, a
+//! connection cap sheds with `503`, a deadline that passes while the
+//! request waits answers `503` at once and one that passes while it
+//! runs answers `503` at the run's next checkpoint, and shutdown lets
+//! every accepted connection finish before returning. All of it is
+//! observable at `GET /metrics` (see [`crate::metrics`]).
 
 use crate::http::{self, Limits, ParseError, Request, Response};
 use crate::metrics::{Endpoint, Metrics, Sampled};
@@ -16,14 +19,14 @@ use efes::{
     EstimateRequest, EstimateResponse, EstimationConfig, Estimator, ExecutionPolicy,
     ModuleError, ScenarioProvider, ScenarioRegistry,
 };
-use efes_exec::{fault, CancellationToken, RunContext, SubmitError, WorkerPool};
+use efes_exec::{fault, CancellationToken, RunContext};
 use efes_ingest::{
     DynamicRegistry, InsertError, InsertOutcome, RemoveError, ScenarioUpload, TableGrowth,
 };
 use efes_matching::{CombinedMatcher, MatcherConfig};
 use efes_profiling::{DbTag, ProfileCache};
 use serde::{content_get, Content, DeError, Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,10 +41,11 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Bind address; port `0` picks an ephemeral port.
     pub addr: String,
-    /// Worker-pool sizing (the pool provides cross-request parallelism).
+    /// How many estimates may run at once: one permit each, and each
+    /// estimate runs on its own connection thread.
     pub workers: ExecutionPolicy,
-    /// Bound on jobs *waiting* for a worker; beyond it requests shed
-    /// with `429`.
+    /// Bound on estimates *waiting* for a permit, admitted oldest
+    /// first; beyond it requests shed with `429`.
     pub queue_capacity: usize,
     /// Bound on concurrently handled connections; beyond it the
     /// acceptor sheds with `503`.
@@ -55,8 +59,8 @@ pub struct ServerConfig {
     /// Request parsing limits.
     pub limits: Limits,
     /// Execution policy *inside* one estimate. Defaults to sequential:
-    /// the pool already parallelises across requests, and per-request
-    /// sequential execution keeps worker threads from oversubscribing
+    /// the permits already run `workers` estimates side by side, and
+    /// per-request sequential execution keeps them from oversubscribing
     /// the machine. The estimate itself is identical either way.
     pub estimation: ExecutionPolicy,
     /// Per-scenario [`ProfileCache`] bound (`None` = unbounded).
@@ -89,18 +93,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// What a finished estimation job left in its [`JobSlot`].
-enum JobOutcome {
-    Done(Box<Result<efes::EffortEstimate, ModuleError>>),
-    /// The worker saw the caller's cancellation and skipped the work.
-    Abandoned,
-    /// The job panicked; the payload is the panic message. The worker
-    /// survives (its own `catch_unwind` is the second line of defence)
-    /// and the waiter answers `500` immediately instead of stalling
-    /// until its deadline.
-    Panicked(String),
-}
-
 /// Best-effort extraction of a panic payload's message.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -112,47 +104,108 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A one-shot rendezvous between the connection handler (waiting with a
-/// deadline) and the worker executing its job.
-struct JobSlot {
-    outcome: Mutex<Option<JobOutcome>>,
-    ready: Condvar,
+/// The admission gate in front of estimation: at most `permits`
+/// estimates run at once, and at most `capacity` more wait for a
+/// permit, admitted in the order they arrived.
+struct Gate {
+    permits: usize,
+    capacity: usize,
+    state: Mutex<GateState>,
+    /// Signalled when a permit comes free or a waiter leaves, so the
+    /// waiter now first in line looks again.
+    changed: Condvar,
 }
 
-impl JobSlot {
-    fn new() -> Self {
-        JobSlot {
-            outcome: Mutex::new(None),
-            ready: Condvar::new(),
+#[derive(Default)]
+struct GateState {
+    /// Estimates holding a permit.
+    running: usize,
+    /// Tickets of the callers waiting for a permit, oldest first.
+    waiting: VecDeque<u64>,
+    /// The ticket the next waiter draws.
+    next_ticket: u64,
+}
+
+/// Why [`Gate::admit`] turned a caller away.
+#[derive(Debug, PartialEq, Eq)]
+enum Refused {
+    /// `capacity` callers were already waiting.
+    QueueFull,
+    /// The caller's deadline passed while it waited.
+    Expired,
+}
+
+impl Gate {
+    /// `permits` and `capacity` of at least one each.
+    fn new(permits: usize, capacity: usize) -> Self {
+        Gate {
+            permits: permits.max(1),
+            capacity: capacity.max(1),
+            state: Mutex::new(GateState::default()),
+            changed: Condvar::new(),
         }
     }
 
-    fn fill(&self, outcome: JobOutcome) {
-        let mut slot = self.outcome.lock().expect("job slot poisoned");
-        *slot = Some(outcome);
-        drop(slot);
-        self.ready.notify_all();
-    }
-
-    /// Wait up to `deadline` for the outcome; `None` means the deadline
-    /// expired first.
-    fn wait(&self, deadline: Duration) -> Option<JobOutcome> {
-        let expires = Instant::now() + deadline;
-        let mut slot = self.outcome.lock().expect("job slot poisoned");
+    /// Take a permit: at once if one is free and nobody waits, else
+    /// after every earlier waiter, giving up at `expires`.
+    fn admit(&self, expires: Instant) -> Result<Permit<'_>, Refused> {
+        let mut state = self.state.lock().expect("gate lock poisoned");
+        if state.running < self.permits && state.waiting.is_empty() {
+            state.running += 1;
+            return Ok(Permit(self));
+        }
+        if state.waiting.len() >= self.capacity {
+            return Err(Refused::QueueFull);
+        }
+        let ticket = state.next_ticket;
+        state.next_ticket += 1;
+        state.waiting.push_back(ticket);
         loop {
-            if slot.is_some() {
-                return slot.take();
-            }
             let now = Instant::now();
             if now >= expires {
-                return None;
+                state.waiting.retain(|&t| t != ticket);
+                drop(state);
+                // The waiter behind this one may now be first in line
+                // for a free permit.
+                self.changed.notify_all();
+                return Err(Refused::Expired);
             }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(slot, expires - now)
-                .expect("job slot poisoned");
-            slot = guard;
+            if state.running < self.permits && state.waiting.front() == Some(&ticket) {
+                state.waiting.pop_front();
+                state.running += 1;
+                drop(state);
+                // A second free permit is now the next waiter's.
+                self.changed.notify_all();
+                return Ok(Permit(self));
+            }
+            state = self
+                .changed
+                .wait_timeout(state, expires - now)
+                .expect("gate lock poisoned")
+                .0;
         }
+    }
+
+    /// Estimates running and estimates waiting, right now.
+    fn load(&self) -> (usize, usize) {
+        let state = self.state.lock().expect("gate lock poisoned");
+        (state.running, state.waiting.len())
+    }
+}
+
+/// A held permit. Dropping it, however the estimate ended, frees the
+/// permit for the oldest waiter.
+struct Permit<'a>(&'a Gate);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        // Only the gate's own bookkeeping runs under its lock, and every
+        // step of it leaves the state valid, so a poisoned lock is safe
+        // to take over; `Drop` must not panic.
+        let mut state = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.running -= 1;
+        drop(state);
+        self.0.changed.notify_all();
     }
 }
 
@@ -160,7 +213,7 @@ struct ServerState {
     config: ServerConfig,
     registry: DynamicRegistry,
     metrics: Metrics,
-    pool: WorkerPool,
+    gate: Gate,
     /// One profile cache per scenario name — never shared across
     /// scenarios, because `DbTag`s are only unambiguous within one.
     caches: Mutex<BTreeMap<String, Arc<ProfileCache>>>,
@@ -202,11 +255,12 @@ impl ServerState {
 
     fn sample(&self) -> Sampled {
         let caches = self.caches.lock().expect("cache map poisoned");
+        let (in_flight, queue_depth) = self.gate.load();
         let mut sampled = Sampled {
-            queue_depth: self.pool.queue_depth(),
-            queue_capacity: self.pool.capacity(),
-            in_flight: self.pool.in_flight(),
-            workers: self.pool.workers(),
+            queue_depth,
+            queue_capacity: self.gate.capacity,
+            in_flight,
+            workers: self.gate.permits,
             ingest_resident_bytes: self.registry.resident_bytes() as u64,
             ingest_budget_bytes: self.registry.budget() as u64,
             scenarios_static: self.registry.static_len(),
@@ -235,17 +289,13 @@ impl ServerState {
 pub struct Server;
 
 impl Server {
-    /// Bind `config.addr`, spawn the acceptor and worker pool, and
-    /// return a handle for address discovery and shutdown.
+    /// Bind `config.addr`, spawn the acceptor, and return a handle for
+    /// address discovery and shutdown.
     pub fn start(config: ServerConfig, registry: ScenarioRegistry) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let workers = match config.workers.mode() {
-            efes::ExecutionMode::Sequential => 1,
-            efes::ExecutionMode::Parallel(n) => n.max(1),
-        };
         let state = Arc::new(ServerState {
-            pool: WorkerPool::new(workers, config.queue_capacity),
+            gate: Gate::new(config.workers.mode().threads(), config.queue_capacity),
             registry: DynamicRegistry::new(registry, config.ingest_budget),
             config,
             metrics: Metrics::new(),
@@ -314,9 +364,9 @@ impl ServerHandle {
         }
     }
 
-    /// Graceful shutdown: stop accepting, let in-flight connections and
-    /// their queued jobs drain, then join the workers. Returns when the
-    /// server is fully stopped.
+    /// Graceful shutdown: stop accepting, then let every accepted
+    /// connection finish, estimates waiting for a permit included.
+    /// Returns when the server is fully stopped.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
@@ -331,9 +381,9 @@ impl ServerHandle {
         // connection so it observes the flag.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
         let _ = acceptor.join();
-        // In-flight connections finish on their own: their jobs are
-        // already in the pool (still running) and every wait carries a
-        // deadline. Cap the drain defensively anyway.
+        // In-flight connections finish on their own: each runs or waits
+        // for its estimate under a deadline. Cap the drain defensively
+        // anyway.
         let drain_cap = self.state.config.max_deadline
             + self.state.config.io_timeout
             + self.state.config.io_timeout
@@ -344,7 +394,6 @@ impl ServerHandle {
         {
             std::thread::sleep(Duration::from_millis(5));
         }
-        self.state.pool.shutdown();
     }
 }
 
@@ -548,143 +597,114 @@ fn handle_estimate(state: &Arc<ServerState>, request: &Request) -> Response {
         .min(state.config.max_deadline);
 
     let cache = state.cache_for(&estimate_request.scenario);
-    let slot = Arc::new(JobSlot::new());
-    let token = CancellationToken::new();
+    // Waiting for a permit counts against the deadline: the run
+    // observes the same instant the wait gives up at, so an estimate
+    // admitted with no budget left aborts at its first checkpoint.
     let started = Instant::now();
-
-    let job_state = Arc::clone(state);
-    let job_slot = Arc::clone(&slot);
-    let job_token = token.clone();
-    let job_request = estimate_request.clone();
-    // The deadline the *run* observes is the same instant the waiter
-    // gives up at: queue wait counts against it, and a job picked up
-    // with no budget left aborts at its first checkpoint.
     let expires = started + deadline;
-    let submitted = state.pool.try_submit(Box::new(move || {
-        if job_token.is_cancelled() {
-            job_state
-                .metrics
-                .jobs_abandoned
-                .fetch_add(1, Ordering::Relaxed);
-            job_slot.fill(JobOutcome::Abandoned);
-            return;
-        }
-        let job_started = Instant::now();
-        let run = RunContext::new(job_token.clone(), Some(expires));
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if fault::fire("serve.estimate.job", Some(&job_token)) {
+    let outcome = {
+        let _permit = match state.gate.admit(expires) {
+            Ok(permit) => permit,
+            Err(Refused::QueueFull) => {
+                state
+                    .metrics
+                    .rejected_queue_full
+                    .fetch_add(1, Ordering::Relaxed);
+                return Response::error(429, "estimation queue is full")
+                    .with_header("retry-after", "1");
+            }
+            Err(Refused::Expired) => {
+                state
+                    .metrics
+                    .deadline_expired
+                    .fetch_add(1, Ordering::Relaxed);
+                state.metrics.jobs_abandoned.fetch_add(1, Ordering::Relaxed);
+                return Response::error(
+                    503,
+                    &format!("deadline of {} ms expired", deadline.as_millis()),
+                );
+            }
+        };
+        let token = CancellationToken::new();
+        let run = RunContext::new(token.clone(), Some(expires));
+        catch_unwind(AssertUnwindSafe(|| {
+            if fault::fire("serve.estimate.job", Some(&token)) {
                 return Err(ModuleError::PlanningFailed(
                     "injected fault: estimation allocation cap exhausted".to_owned(),
                 ));
             }
-            let mut config = EstimationConfig::for_quality(job_request.quality);
-            config.execution = job_state.config.estimation;
-            let estimator = Estimator::with_selected_modules(config, job_request.modules);
+            let mut config = EstimationConfig::for_quality(estimate_request.quality);
+            config.execution = state.config.estimation;
+            let estimator = Estimator::with_selected_modules(config, estimate_request.modules);
             estimator.estimate_with_cache_ctx(&scenario, cache, run)
-        }));
-        let result = match outcome {
-            Err(payload) => {
-                job_state
-                    .metrics
-                    .panics_recovered
-                    .fetch_add(1, Ordering::Relaxed);
-                job_slot.fill(JobOutcome::Panicked(panic_message(payload.as_ref())));
-                return;
-            }
-            Ok(result) => result,
-        };
-        match &result {
-            Ok(estimate) => {
-                for stage in &estimate.timings.stages {
-                    job_state.metrics.observe_stage(&stage.stage, stage.millis);
-                }
-            }
-            Err(ModuleError::Cancelled(stage)) => {
-                job_state.metrics.count_cancelled_stage(stage);
-                // Credit the worker time the abort handed back: what an
-                // average uncancelled estimate would have held minus
-                // what this run actually held.
-                if let Some(mean_ms) = job_state.metrics.mean_request_latency_ms() {
-                    let mean_micros = (mean_ms * 1e3) as u64;
-                    let held_micros = job_started.elapsed().as_micros() as u64;
-                    job_state
-                        .metrics
-                        .add_reclaimed_micros(mean_micros.saturating_sub(held_micros));
-                }
-            }
-            Err(_) => {}
-        }
-        job_slot.fill(JobOutcome::Done(Box::new(result)));
-    }));
-    match submitted {
-        Ok(()) => {}
-        Err(SubmitError::QueueFull) => {
+        }))
+    };
+    match outcome {
+        Err(payload) => {
             state
                 .metrics
-                .rejected_queue_full
+                .panics_recovered
                 .fetch_add(1, Ordering::Relaxed);
-            return Response::error(429, "estimation queue is full")
-                .with_header("retry-after", "1");
-        }
-        Err(SubmitError::ShuttingDown) => {
-            return Response::error(503, "server is shutting down");
-        }
-    }
-
-    match slot.wait(deadline) {
-        None => {
-            token.cancel();
             state
                 .metrics
-                .deadline_expired
+                .estimate_errors
                 .fetch_add(1, Ordering::Relaxed);
             Response::error(
-                503,
-                &format!("deadline of {} ms expired", deadline.as_millis()),
+                500,
+                &format!(
+                    "estimation job panicked: {}",
+                    panic_message(payload.as_ref())
+                ),
             )
         }
-        Some(JobOutcome::Abandoned) => {
-            // Only reachable if the waiter timed out, which returns
-            // above — kept for exhaustiveness.
-            Response::error(503, "estimation was abandoned")
-        }
-        Some(JobOutcome::Panicked(message)) => {
-            state.metrics.estimate_errors.fetch_add(1, Ordering::Relaxed);
-            Response::error(500, &format!("estimation job panicked: {message}"))
-        }
-        Some(JobOutcome::Done(result)) => match *result {
-            Ok(estimate) => {
-                state.metrics.estimates_ok.fetch_add(1, Ordering::Relaxed);
-                state
-                    .metrics
-                    .observe_request_latency(started.elapsed().as_secs_f64() * 1e3);
-                let response = EstimateResponse::from_estimate(&estimate, &estimate_request);
-                match serde_json::to_string(&response) {
-                    Ok(body) => Response::json(200, body.into_bytes()),
-                    Err(e) => {
-                        state.metrics.estimate_errors.fetch_add(1, Ordering::Relaxed);
-                        Response::error(500, &format!("serialising estimate: {e}"))
-                    }
-                }
+        Ok(Ok(estimate)) => {
+            for stage in &estimate.timings.stages {
+                state.metrics.observe_stage(&stage.stage, stage.millis);
             }
-            // The run aborted cooperatively before the waiter's own
-            // deadline fired — a spurious cancel (fault injection) or a
-            // deadline the job observed first. The caller stopped
-            // wanting the answer; that is shed load, not a failure.
-            Err(e) if e.is_cancelled() => {
-                if Instant::now() >= expires {
+            state.metrics.estimates_ok.fetch_add(1, Ordering::Relaxed);
+            state
+                .metrics
+                .observe_request_latency(started.elapsed().as_secs_f64() * 1e3);
+            let response = EstimateResponse::from_estimate(&estimate, &estimate_request);
+            match serde_json::to_string(&response) {
+                Ok(body) => Response::json(200, body.into_bytes()),
+                Err(e) => {
                     state
                         .metrics
-                        .deadline_expired
+                        .estimate_errors
                         .fetch_add(1, Ordering::Relaxed);
+                    Response::error(500, &format!("serialising estimate: {e}"))
                 }
-                Response::error(503, &format!("estimation {e}"))
             }
-            Err(e) => {
-                state.metrics.estimate_errors.fetch_add(1, Ordering::Relaxed);
-                Response::error(500, &format!("estimation failed: {e}"))
+        }
+        // The run aborted cooperatively: its deadline passed, or its
+        // token was cancelled (fault injection). The caller stopped
+        // wanting the answer; that is shed load, not a failure.
+        Ok(Err(ModuleError::Cancelled(stage))) => {
+            state.metrics.count_cancelled_stage(&stage);
+            if Instant::now() >= expires {
+                state
+                    .metrics
+                    .deadline_expired
+                    .fetch_add(1, Ordering::Relaxed);
+                Response::error(
+                    503,
+                    &format!(
+                        "deadline of {} ms expired (cancelled in stage {stage})",
+                        deadline.as_millis()
+                    ),
+                )
+            } else {
+                Response::error(503, &format!("estimation cancelled in stage {stage}"))
             }
-        },
+        }
+        Ok(Err(e)) => {
+            state
+                .metrics
+                .estimate_errors
+                .fetch_add(1, Ordering::Relaxed);
+            Response::error(500, &format!("estimation failed: {e}"))
+        }
     }
 }
 
@@ -763,10 +783,9 @@ pub struct MatchResponse {
     pub matches: Vec<MatchEntry>,
 }
 
-/// `POST /match` — synchronous: the matcher is orders of magnitude
-/// cheaper than an estimate (no instance profiling beyond the named
-/// source/target columns), so it runs on the connection thread instead
-/// of the job queue.
+/// `POST /match` — runs without a permit: the matcher is orders of
+/// magnitude cheaper than an estimate (no instance profiling beyond the
+/// named source/target columns).
 fn handle_match(state: &Arc<ServerState>, request: &Request) -> Response {
     if state.shutting_down.load(Ordering::Acquire) {
         return Response::error(503, "server is shutting down");
@@ -950,9 +969,8 @@ pub struct DeleteResponse {
     pub freed_bytes: u64,
 }
 
-/// `POST /scenarios` — synchronous on the connection thread, like
-/// `/match`: parsing streams into typed columns without profiling
-/// anything, so it never competes with estimates for workers.
+/// `POST /scenarios` — runs without a permit, like `/match`: parsing
+/// streams into typed columns without profiling anything.
 fn handle_upload(state: &Arc<ServerState>, request: &Request) -> Response {
     if state.shutting_down.load(Ordering::Acquire) {
         return Response::error(503, "server is shutting down");
@@ -1090,5 +1108,120 @@ fn handle_delete(state: &Arc<ServerState>, name: &str) -> Response {
         Err(RemoveError::Static) => {
             Response::error(403, &format!("scenario {name:?} is compiled in and cannot be deleted"))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(60)
+    }
+
+    /// Spin until the gate reports `(running, waiting)`; each test
+    /// drives the gate into that state itself, so this only waits for
+    /// the spawned threads to get there.
+    fn wait_for_load(gate: &Gate, load: (usize, usize)) {
+        let start = Instant::now();
+        while gate.load() != load {
+            assert!(
+                start.elapsed() < Duration::from_secs(30),
+                "gate stuck at {:?}, expected {load:?}",
+                gate.load()
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn no_more_than_permits_estimates_run_at_once() {
+        let gate = Gate::new(2, 8);
+        let start = Barrier::new(8);
+        let running = AtomicUsize::new(0);
+        let most = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    start.wait();
+                    let _permit = gate.admit(far()).expect("eight fit: two run, six wait");
+                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                    most.fetch_max(now, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(2));
+                    running.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+        });
+        assert!(most.load(Ordering::SeqCst) <= 2, "{most:?} ran at once");
+        assert_eq!(gate.load(), (0, 0));
+    }
+
+    #[test]
+    fn the_waiter_beyond_capacity_is_refused() {
+        let gate = Gate::new(1, 1);
+        let held = gate.admit(far()).expect("a free permit");
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| gate.admit(far()).map(drop));
+            wait_for_load(&gate, (1, 1));
+            assert_eq!(gate.admit(far()).err(), Some(Refused::QueueFull));
+            drop(held);
+            assert_eq!(waiter.join().expect("waiter thread"), Ok(()));
+        });
+        assert_eq!(gate.load(), (0, 0));
+    }
+
+    #[test]
+    fn waiters_are_admitted_oldest_first() {
+        let gate = Gate::new(1, 4);
+        let order = Mutex::new(Vec::new());
+        let held = gate.admit(far()).expect("a free permit");
+        std::thread::scope(|scope| {
+            for i in 0..4 {
+                let (gate, order) = (&gate, &order);
+                scope.spawn(move || {
+                    let _permit = gate.admit(far()).expect("four fit in the queue");
+                    order.lock().expect("order lock").push(i);
+                });
+                // Queue the waiters one by one, so arrival order is i.
+                wait_for_load(gate, (1, i + 1));
+            }
+            drop(held);
+        });
+        assert_eq!(*order.lock().expect("order lock"), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_waiter_leaves_at_its_deadline() {
+        let gate = Gate::new(1, 2);
+        let held = gate.admit(far()).expect("a free permit");
+        std::thread::scope(|scope| {
+            let patient = scope.spawn(|| gate.admit(far()).map(drop));
+            wait_for_load(&gate, (1, 1));
+            let asked = Instant::now();
+            let wait = Duration::from_millis(20);
+            assert_eq!(gate.admit(asked + wait).err(), Some(Refused::Expired));
+            assert!(asked.elapsed() >= wait);
+            // The expired waiter left; the one ahead of it still waits.
+            assert_eq!(gate.load(), (1, 1));
+            drop(held);
+            assert_eq!(patient.join().expect("patient thread"), Ok(()));
+        });
+        assert_eq!(gate.load(), (0, 0));
+    }
+
+    #[test]
+    fn a_permit_is_released_when_its_holder_panics() {
+        let gate = Gate::new(1, 1);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let _permit = gate.admit(far()).expect("a free permit");
+            panic!("estimate panicked");
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(gate.load(), (0, 0));
+        assert!(
+            gate.admit(Instant::now()).is_ok(),
+            "the permit is free again"
+        );
     }
 }

@@ -7,7 +7,8 @@
 //! The client side is a well-behaved tenant: every POST goes through
 //! [`post_json_with_retry`], which honours `429` + `Retry-After` with
 //! full-jitter exponential backoff. The burst section at the end
-//! overflows a one-slot queue on purpose to show the backoff working.
+//! overflows a one-permit, one-slot server on purpose to show the
+//! backoff working.
 //!
 //! Run with: `cargo run --release -p efes-serve --example serve_client`
 
@@ -103,7 +104,7 @@ fn post_json_with_retry(
 }
 
 fn main() -> std::io::Result<()> {
-    // One worker and a one-slot queue: enough for the sequential walk
+    // One permit and a one-slot queue: enough for the sequential walk
     // below, and guarantees the closing burst actually sheds.
     let mut registry = efes_scenarios::standard_registry();
     registry.register("synth-burst", "synthetic burst-demo scenario", || {
@@ -135,9 +136,10 @@ fn main() -> std::io::Result<()> {
     // per-scenario profile cache — visible in the metrics below.
     let _ = post_json_with_retry(addr, "/estimate", request, &mut seed)?;
 
-    // Four concurrent clients against one worker and one queue slot:
-    // one runs, one queues, the rest shed with 429 + Retry-After and
-    // come back after a jittered backoff to find the queue drained.
+    // Four concurrent clients against one permit and one queue slot:
+    // one runs, one waits for the permit, the rest shed with 429 +
+    // Retry-After and come back after a jittered backoff to find the
+    // queue drained.
     println!("burst: 4 concurrent estimates of synth-burst =>");
     let burst = r#"{"scenario":"synth-burst"}"#;
     let clients: Vec<_> = (0..4)

@@ -1,7 +1,7 @@
 //! Chaos suite: drives a live server under deterministic fault
 //! injection (`EFES_FAULTS`) and asserts the blast radius of every
-//! fault mode stays inside its isolation boundary — a panicking job
-//! answers `500` and the worker survives, a spurious cancel answers
+//! fault mode stays inside its isolation boundary — a panicking
+//! estimate answers `500` and frees its permit, a spurious cancel answers
 //! `503` and the next request recovers byte-identically, a delay only
 //! slows the answer, an ingest allocation cap rejects one upload, and
 //! shutdown drains cleanly while faults keep firing.
@@ -13,6 +13,7 @@
 //! `rate=1` with a single mode, except the drain step, which only
 //! asserts that responses stay in the allowed status set.
 
+use efes_exec::ExecutionPolicy;
 use efes_ingest::{ScenarioUpload, UploadFormat};
 use efes_serve::{Server, ServerConfig};
 use efes_synth::{generate, SynthConfig};
@@ -102,8 +103,18 @@ fn upload_doc(name: &str) -> String {
 #[test]
 fn injected_faults_stay_inside_their_isolation_boundaries() {
     let seed = chaos_seed();
-    let handle = Server::start(ServerConfig::default(), efes_scenarios::standard_registry())
-        .expect("start server");
+    // One permit and one waiting slot: a permit leaked by a panicking,
+    // cancelled or delayed estimate makes the next request wait out its
+    // deadline, which fails the recovery assertions below.
+    let handle = Server::start(
+        ServerConfig {
+            workers: ExecutionPolicy::Threads(1),
+            queue_capacity: 1,
+            ..ServerConfig::default()
+        },
+        efes_scenarios::standard_registry(),
+    )
+    .expect("start server");
     let addr = handle.addr();
     let estimate_body = r#"{"scenario":"music-example","include_tasks":true}"#;
 
@@ -112,7 +123,7 @@ fn injected_faults_stay_inside_their_isolation_boundaries() {
     let (status, baseline) = post(addr, "/estimate", estimate_body);
     assert_eq!(status, 200, "baseline body: {baseline}");
 
-    // --- Panic in the estimation job: 500 now, clean recovery next. ---
+    // --- Panic in the estimate: 500 now, clean recovery next. ---
     {
         let _g = with_faults(&format!(
             "seed={seed},rate=1,site=serve.estimate.job,mode=panic"
@@ -170,7 +181,7 @@ fn injected_faults_stay_inside_their_isolation_boundaries() {
     assert_eq!(get(addr, "/healthz").0, 200);
 
     // --- Faults inside a profile-cache fill: neither a panic nor a
-    // cancel mid-fill may hang the job or poison the scenario's
+    // cancel mid-fill may hang the estimate or poison the scenario's
     // profile-cache slot. `profiling.fill` fires once per cache miss,
     // so each fault needs a cold cache: the scenario is dropped and
     // re-uploaded after the baseline fills it. ---
