@@ -7,8 +7,10 @@
 //! ```
 //!
 //! For each row count the sweep generates one seeded scenario with
-//! `efes-synth` (fixed shape, default dirt) and times six stages
-//! independently: generation itself, attribute profiling, matcher
+//! `efes-synth` (fixed shape, default dirt) and times seven stages
+//! independently: generation itself, parsing the scenario's JSON-rows
+//! upload body (`ScenarioUpload::parse`; the body is serialised once
+//! per scale, outside the timed region), attribute profiling, matcher
 //! scoring, CSG conversion of the source alone, CSG planning (the
 //! structure module's assess + plan, as a served estimate runs them:
 //! source conversion, relationship matching and conflict detection,
@@ -25,6 +27,7 @@ use efes::prelude::*;
 use efes_bench::Provenance;
 use efes_csg::database_to_csg_ctx;
 use efes_exec::{ExecutionMode, RunContext};
+use efes_ingest::{ScenarioUpload, UploadFormat};
 use efes_matching::CombinedMatcher;
 use efes_profiling::{AttributeProfile, ProfileCache};
 use efes_synth::{SynthConfig, SynthScenario};
@@ -175,6 +178,15 @@ fn main() {
         }));
 
         let out = efes_synth::generate(&cfg);
+        let body = serde_json::to_string(&ScenarioUpload::from_scenario(
+            &out.scenario,
+            UploadFormat::JsonRows,
+        ))
+        .expect("serialize upload");
+        record("ingest_parse", median_ns(iters, || {
+            std::hint::black_box(ScenarioUpload::parse(body.as_bytes()).expect("upload parses"));
+        }));
+        drop(body);
         record("profiling", median_ns(iters, || profile_all(&out)));
         record("matching", median_ns(iters, || {
             std::hint::black_box(CombinedMatcher::default().propose_attribute_matches_with(

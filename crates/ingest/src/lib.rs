@@ -4,10 +4,12 @@
 //! the estimator can price:
 //!
 //! * [`upload`] — the JSON wire format ([`ScenarioUpload`] and
-//!   friends) with a streaming parser that casts each cell to its
-//!   declared datatype and appends it straight into a typed
+//!   friends) with a streaming parser: a pull reader over the request
+//!   bytes (no tree of the document) casts each cell to its declared
+//!   datatype and appends it straight into a typed
 //!   [`Column`](efes_relational::Column), so payloads land in the one
-//!   representation every table has — no row-major detour.
+//!   representation every table has — no row-major detour — and a
+//!   parse's extra heap stays within the body plus twice its columns.
 //! * [`registry`] — the [`DynamicRegistry`], which layers uploaded
 //!   scenarios over the compiled-in
 //!   [`ScenarioRegistry`](efes::ScenarioRegistry) behind the single
@@ -22,6 +24,7 @@
 
 #![warn(missing_docs)]
 
+mod json;
 pub mod registry;
 pub mod upload;
 

@@ -9,14 +9,28 @@
 //!
 //! ## Streaming into typed columns
 //!
-//! Deserialisation never materialises a row-major `Vec<Value>` table:
-//! each table's declared attribute list is parsed first, then the
-//! payload is walked record by record and every cell is cast to its
-//! attribute's declared [`DataType`] and pushed straight into that
-//! attribute's [`Column`] ([`Column::push`]). A parsed [`TableUpload`]
-//! therefore holds finished typed columns — the only storage
+//! [`ScenarioUpload::parse`] walks the request bytes with a pull reader
+//! and never builds a tree of the document: each table's declared
+//! attribute list is read first, then the payload is walked record by
+//! record and every cell is cast to its attribute's declared
+//! [`DataType`] and pushed straight into that attribute's [`Column`]
+//! ([`Column::push`]). A number goes in without an owned [`Value`], a
+//! text cell borrowed from the body unless it holds an escape; a `csv`
+//! payload is unescaped once and split into fields borrowed from that
+//! copy. Only a cell of another type than its column (a number in a text
+//! column, text in a number column, …) builds a [`Value`] for
+//! [`DataType::try_cast`]. The small objects — attributes, constraints,
+//! correspondences — go through `serde_json` from the text they span.
+//! Besides the body, a parse therefore holds the growing columns and at
+//! most one unescaped CSV payload. A parsed [`TableUpload`] holds
+//! finished typed columns — the only storage
 //! [`TableData`](efes_relational::TableData) has — so
 //! [`ScenarioUpload::into_scenario`] loads them without copying.
+//!
+//! Keys may come in any order: a payload met before its table's name and
+//! attributes is checked, noted, and streamed once they are known. A
+//! repeated key keeps its first value; later ones are checked for syntax
+//! only. Arrays and objects nest at most 127 deep.
 //!
 //! ## Fidelity caveats
 //!
@@ -28,6 +42,7 @@
 //! CSV payloads additionally render empty text cells and NULLs
 //! identically, so an empty string ingests as NULL there.
 
+use crate::json::{Reader, Scalar, Span};
 use crate::IngestError;
 use efes_relational::{
     AttrRef, Attribute, Column, Constraint, ConstraintKind, ConstraintSet, Correspondence,
@@ -35,6 +50,8 @@ use efes_relational::{
     ValueRef,
 };
 use serde::{content_get, Content, DeError, Deserialize, Serialize};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// How [`ScenarioUpload::from_scenario`] renders table payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -180,92 +197,170 @@ fn parse_datatype(raw: &str) -> Result<DataType, DeError> {
     }
 }
 
-/// A JSON scalar cell as the [`Value`] it literally denotes, before the
-/// declared-type cast.
-fn scalar_value(c: &Content) -> Result<Value, DeError> {
-    match c {
-        Content::Null => Ok(Value::Null),
-        Content::Bool(b) => Ok(Value::Bool(*b)),
-        Content::I64(i) => Ok(Value::Int(*i)),
-        Content::U64(u) => i64::try_from(*u)
-            .map(Value::Int)
-            .map_err(|_| DeError::custom(format!("integer cell {u} is out of i64 range"))),
-        Content::F64(f) => Ok(Value::Float(*f)),
-        Content::Str(s) => Ok(Value::Text(s.clone())),
-        Content::Seq(_) | Content::Map(_) => {
-            Err(DeError::expected("a scalar JSON value for a table cell"))
+/// The error for a cell that does not cast to its attribute's declared
+/// type, with full location context.
+fn cast_error(table: &str, attr: &AttributeUpload, row: usize, raw: &Value) -> DeError {
+    DeError::custom(format!(
+        "table `{table}`, attribute `{}`, row {row}: cannot cast {raw:?} to {}",
+        attr.name, attr.datatype
+    ))
+}
+
+/// Push a text payload (a JSON string cell or a non-empty CSV field)
+/// into its column, cast to the attribute's declared type; text stays
+/// borrowed until the column's dictionary copies it.
+fn push_text(
+    column: &mut Column,
+    table: &str,
+    attr: &AttributeUpload,
+    row: usize,
+    text: &str,
+) -> Result<(), DeError> {
+    let cell = attr
+        .datatype
+        .cast_text(text)
+        .ok_or_else(|| cast_error(table, attr, row, &Value::Text(text.to_owned())))?;
+    column.push(cell);
+    Ok(())
+}
+
+/// Push one JSON cell into its column, cast to the attribute's declared
+/// type as [`DataType::try_cast`] casts the [`Value`] the cell denotes.
+/// A cell of its column's own type, or an integer in a float column,
+/// goes in directly; only the other casts build that [`Value`].
+fn push_cell(
+    column: &mut Column,
+    table: &str,
+    attr: &AttributeUpload,
+    row: usize,
+    cell: Scalar<'_>,
+) -> Result<(), DeError> {
+    let raw = match cell {
+        Scalar::Null => ValueRef::Null,
+        Scalar::Bool(b) => ValueRef::Bool(b),
+        Scalar::I64(i) => ValueRef::Int(i),
+        Scalar::U64(u) => ValueRef::Int(i64::try_from(u).map_err(|_| {
+            DeError::custom(format!("integer cell {u} is out of i64 range"))
+        })?),
+        Scalar::F64(f) => ValueRef::Float(f),
+        Scalar::Str(text) => return push_text(column, table, attr, row, &text),
+    };
+    match (attr.datatype, raw) {
+        (_, ValueRef::Null)
+        | (DataType::Integer, ValueRef::Int(_))
+        | (DataType::Float, ValueRef::Float(_))
+        | (DataType::Boolean, ValueRef::Bool(_)) => column.push(raw),
+        (DataType::Float, ValueRef::Int(i)) => column.push(ValueRef::Float(i as f64)),
+        (datatype, _) => {
+            let raw = raw.to_value();
+            let cast = datatype
+                .try_cast(&raw)
+                .ok_or_else(|| cast_error(table, attr, row, &raw))?;
+            column.push(ValueRef::of(&cast));
+        }
+    }
+    Ok(())
+}
+
+/// One CSV field as it is read: a run of the text, copied out only when
+/// a skipped byte — the second quote of a `""` escape, a `\r`, the quote
+/// closing a field that text follows — breaks the run.
+#[derive(Default)]
+struct Field {
+    copied: Option<String>,
+    run: Range<usize>,
+}
+
+impl Field {
+    /// Append `text[at..to]`.
+    fn push(&mut self, text: &str, at: usize, to: usize) {
+        if at == to {
+            return;
+        }
+        if self.run.is_empty() {
+            self.run = at..to;
+        } else if self.run.end == at {
+            self.run.end = to;
+        } else {
+            self.copied
+                .get_or_insert_with(String::new)
+                .push_str(&text[self.run.clone()]);
+            self.run = at..to;
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.run.is_empty() && self.copied.as_ref().is_none_or(String::is_empty)
+    }
+
+    /// The field's text, leaving the field empty.
+    fn take<'t>(&mut self, text: &'t str) -> Cow<'t, str> {
+        let run = &text[std::mem::take(&mut self.run)];
+        match self.copied.take() {
+            None => Cow::Borrowed(run),
+            Some(mut copied) => {
+                copied.push_str(run);
+                Cow::Owned(copied)
+            }
         }
     }
 }
 
-/// Cast one raw cell to its attribute's declared datatype, with full
-/// location context on failure.
-fn cast_cell(
-    table: &str,
-    attr: &AttributeUpload,
-    row: usize,
-    raw: Value,
-) -> Result<Value, DeError> {
-    attr.datatype.try_cast(&raw).ok_or_else(|| {
-        DeError::custom(format!(
-            "table `{table}`, attribute `{}`, row {row}: cannot cast {raw:?} to {}",
-            attr.name, attr.datatype
-        ))
-    })
-}
-
 /// Walk CSV `text` record by record (record 0 is the header), calling
-/// `on_record` with each complete record. Memory stays O(record), never
-/// O(table) — this is what lets a large upload stream straight into
-/// column builders. Same dialect as `efes_relational::csv::parse`:
-/// quoted fields, `""` escapes, `\n` or `\r\n` endings, `,` delimiter.
-fn stream_csv(
-    text: &str,
-    mut on_record: impl FnMut(usize, Vec<String>) -> Result<(), DeError>,
+/// `on_record` with each complete record's fields. Fields borrow `text`
+/// (only a quoted field holding a `""` escape is copied) and one field
+/// buffer serves every record, so the walk allocates O(record) beyond
+/// the text. Same dialect as `efes_relational::csv::parse`: quoted
+/// fields, `""` escapes, `\n` or `\r\n` endings, `,` delimiter; a `\r`
+/// outside quotes is dropped.
+fn stream_csv<'t>(
+    text: &'t str,
+    mut on_record: impl FnMut(usize, &[Cow<'t, str>]) -> Result<(), DeError>,
 ) -> Result<(), DeError> {
-    let mut field = String::new();
-    let mut record: Vec<String> = Vec::new();
+    let bytes = text.as_bytes();
+    let mut field = Field::default();
+    let mut record: Vec<Cow<'t, str>> = Vec::new();
     let mut records = 0usize;
     let mut in_quotes = false;
     let mut line = 1usize;
-    let mut chars = text.chars().peekable();
-
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                '\n' => {
-                    field.push(c);
-                    line += 1;
-                }
-                _ => field.push(c),
-            }
+    let mut i = 0;
+    while i < bytes.len() {
+        let mut rest = bytes[i..].iter();
+        let found = if in_quotes {
+            rest.position(|&b| b == b'"' || b == b'\n')
         } else {
-            match c {
-                '"' => {
-                    if !field.is_empty() {
-                        return Err(DeError::custom(format!(
-                            "csv line {line}: quote inside unquoted field"
-                        )));
-                    }
-                    in_quotes = true;
+            rest.position(|&b| matches!(b, b'"' | b',' | b'\r' | b'\n'))
+        };
+        let at = found.map_or(bytes.len(), |n| i + n);
+        field.push(text, i, at);
+        i = at + 1;
+        let Some(&b) = bytes.get(at) else { break };
+        match (in_quotes, b) {
+            (true, b'"') if bytes.get(i) == Some(&b'"') => {
+                field.push(text, at, i);
+                i += 1;
+            }
+            (true, b'"') => in_quotes = false,
+            (true, _) => {
+                field.push(text, at, i);
+                line += 1;
+            }
+            (false, b'"') => {
+                if !field.is_empty() {
+                    return Err(DeError::custom(format!(
+                        "csv line {line}: quote inside unquoted field"
+                    )));
                 }
-                ',' => record.push(std::mem::take(&mut field)),
-                '\r' => {}
-                '\n' => {
-                    record.push(std::mem::take(&mut field));
-                    on_record(records, std::mem::take(&mut record))?;
-                    records += 1;
-                    line += 1;
-                }
-                _ => field.push(c),
+                in_quotes = true;
+            }
+            (false, b',') => record.push(field.take(text)),
+            (false, b'\r') => {}
+            (false, _) => {
+                record.push(field.take(text));
+                on_record(records, &record)?;
+                record.clear();
+                records += 1;
+                line += 1;
             }
         }
     }
@@ -275,8 +370,8 @@ fn stream_csv(
         )));
     }
     if !field.is_empty() || !record.is_empty() {
-        record.push(field);
-        on_record(records, record)?;
+        record.push(field.take(text));
+        on_record(records, &record)?;
         records += 1;
     }
     if records == 0 {
@@ -382,98 +477,6 @@ impl Serialize for TableUpload {
             }
         }
         Content::Map(map)
-    }
-}
-
-impl Deserialize for TableUpload {
-    fn from_content(content: &Content) -> Result<Self, DeError> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| DeError::expected("JSON object for `TableUpload`"))?;
-        let name = match content_get(map, "name") {
-            Some(v) => String::from_content(v)?,
-            None => return Err(DeError::missing_field("TableUpload", "name")),
-        };
-        let attributes = match content_get(map, "attributes") {
-            Some(v) => Vec::<AttributeUpload>::from_content(v)?,
-            None => return Err(DeError::missing_field("TableUpload", "attributes")),
-        };
-        let rows = content_get(map, "rows");
-        let csv = content_get(map, "csv");
-        if rows.is_some() && csv.is_some() {
-            return Err(DeError::custom(format!(
-                "table `{name}`: give `rows` or `csv`, not both"
-            )));
-        }
-
-        let mut columns: Vec<Column> = attributes.iter().map(|_| Column::default()).collect();
-        let mut format = UploadFormat::JsonRows;
-
-        if let Some(rows) = rows {
-            let rows = rows
-                .as_seq()
-                .ok_or_else(|| DeError::expected("a JSON array for `rows`"))?;
-            for (i, row) in rows.iter().enumerate() {
-                let cells = row
-                    .as_seq()
-                    .ok_or_else(|| DeError::expected("a JSON array for each row"))?;
-                if cells.len() != attributes.len() {
-                    return Err(DeError::custom(format!(
-                        "table `{name}`, row {i}: {} cells, {} attributes declared",
-                        cells.len(),
-                        attributes.len()
-                    )));
-                }
-                for ((cell, attr), column) in cells.iter().zip(&attributes).zip(&mut columns) {
-                    let raw = scalar_value(cell)?;
-                    column.push(ValueRef::of(&cast_cell(&name, attr, i, raw)?));
-                }
-            }
-        } else if let Some(csv) = csv {
-            format = UploadFormat::Csv;
-            let text = csv
-                .as_str()
-                .ok_or_else(|| DeError::expected("a string for `csv`"))?;
-            stream_csv(text, |record, fields| {
-                if record == 0 {
-                    // Header: must name the declared attributes, in order.
-                    let declared: Vec<&str> =
-                        attributes.iter().map(|a| a.name.as_str()).collect();
-                    if fields != declared {
-                        return Err(DeError::custom(format!(
-                            "table `{name}`: csv header {fields:?} does not match declared \
-                             attributes {declared:?}"
-                        )));
-                    }
-                    return Ok(());
-                }
-                let row = record - 1;
-                if fields.len() != attributes.len() {
-                    return Err(DeError::custom(format!(
-                        "table `{name}`, csv row {row}: {} fields, {} attributes declared",
-                        fields.len(),
-                        attributes.len()
-                    )));
-                }
-                for ((field, attr), column) in fields.into_iter().zip(&attributes).zip(&mut columns)
-                {
-                    let value = if field.is_empty() {
-                        Value::Null
-                    } else {
-                        cast_cell(&name, attr, row, Value::Text(field))?
-                    };
-                    column.push(ValueRef::of(&value));
-                }
-                Ok(())
-            })?;
-        }
-
-        Ok(TableUpload {
-            name,
-            attributes,
-            columns,
-            format,
-        })
     }
 }
 
@@ -616,31 +619,6 @@ impl Serialize for DatabaseUpload {
     }
 }
 
-impl Deserialize for DatabaseUpload {
-    fn from_content(content: &Content) -> Result<Self, DeError> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| DeError::expected("JSON object for `DatabaseUpload`"))?;
-        let name = match content_get(map, "name") {
-            Some(v) => String::from_content(v)?,
-            None => return Err(DeError::missing_field("DatabaseUpload", "name")),
-        };
-        let tables = match content_get(map, "tables") {
-            Some(v) => Vec::<TableUpload>::from_content(v)?,
-            None => return Err(DeError::missing_field("DatabaseUpload", "tables")),
-        };
-        let constraints = match content_get(map, "constraints") {
-            Some(v) => Vec::<ConstraintUpload>::from_content(v)?,
-            None => Vec::new(),
-        };
-        Ok(DatabaseUpload {
-            name,
-            tables,
-            constraints,
-        })
-    }
-}
-
 // --- serde: CorrespondenceUpload ----------------------------------------
 
 impl Serialize for CorrespondenceUpload {
@@ -721,39 +699,238 @@ impl Serialize for ScenarioUpload {
     }
 }
 
-impl Deserialize for ScenarioUpload {
-    fn from_content(content: &Content) -> Result<Self, DeError> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| DeError::expected("JSON object for `ScenarioUpload`"))?;
-        let name = match content_get(map, "name") {
-            Some(v) => String::from_content(v)?,
-            None => return Err(DeError::missing_field("ScenarioUpload", "name")),
-        };
-        let description = match content_get(map, "description") {
-            Some(v) => String::from_content(v)?,
-            None => String::new(),
-        };
-        let sources = match content_get(map, "sources") {
-            Some(v) => Vec::<DatabaseUpload>::from_content(v)?,
-            None => return Err(DeError::missing_field("ScenarioUpload", "sources")),
-        };
-        let target = match content_get(map, "target") {
-            Some(v) => DatabaseUpload::from_content(v)?,
-            None => return Err(DeError::missing_field("ScenarioUpload", "target")),
-        };
-        let correspondences = match content_get(map, "correspondences") {
-            Some(v) => Vec::<CorrespondenceUpload>::from_content(v)?,
-            None => Vec::new(),
-        };
-        Ok(ScenarioUpload {
-            name,
-            description,
-            sources,
-            target,
-            correspondences,
-        })
+// --- the streaming parser -----------------------------------------------
+
+/// Read an array whose elements `item` reads.
+fn read_seq<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, DeError>,
+) -> Result<Vec<T>, DeError> {
+    let mut items = r.array("sequence")?;
+    let mut out = Vec::new();
+    while items.next(r)? {
+        out.push(item(r)?);
     }
+    Ok(out)
+}
+
+/// Read a small value (attributes, constraints, correspondences) through
+/// `serde_json` and its `Content` model, from the text the value spans.
+fn read_small<T: Deserialize>(r: &mut Reader<'_>) -> Result<T, DeError> {
+    let span = r.skip_value()?;
+    serde_json::from_str(r.slice(span)).map_err(|e| DeError::custom(e.to_string()))
+}
+
+fn read_string(r: &mut Reader<'_>) -> Result<String, DeError> {
+    r.string("string").map(Cow::into_owned)
+}
+
+fn read_scenario(r: &mut Reader<'_>) -> Result<ScenarioUpload, DeError> {
+    let (mut name, mut description, mut sources, mut target, mut correspondences) =
+        (None, None, None, None, None);
+    let mut keys = r.object("JSON object for `ScenarioUpload`")?;
+    while let Some(key) = keys.next_key(r)? {
+        match &*key {
+            "name" if name.is_none() => name = Some(read_string(r)?),
+            "description" if description.is_none() => description = Some(read_string(r)?),
+            "sources" if sources.is_none() => sources = Some(read_seq(r, read_database)?),
+            "target" if target.is_none() => target = Some(read_database(r)?),
+            "correspondences" if correspondences.is_none() => {
+                correspondences = Some(read_small(r)?)
+            }
+            _ => {
+                r.skip_value()?;
+            }
+        }
+    }
+    Ok(ScenarioUpload {
+        name: name.ok_or_else(|| DeError::missing_field("ScenarioUpload", "name"))?,
+        description: description.unwrap_or_default(),
+        sources: sources.ok_or_else(|| DeError::missing_field("ScenarioUpload", "sources"))?,
+        target: target.ok_or_else(|| DeError::missing_field("ScenarioUpload", "target"))?,
+        correspondences: correspondences.unwrap_or_default(),
+    })
+}
+
+fn read_database(r: &mut Reader<'_>) -> Result<DatabaseUpload, DeError> {
+    let (mut name, mut tables, mut constraints) = (None, None, None);
+    let mut keys = r.object("JSON object for `DatabaseUpload`")?;
+    while let Some(key) = keys.next_key(r)? {
+        match &*key {
+            "name" if name.is_none() => name = Some(read_string(r)?),
+            "tables" if tables.is_none() => tables = Some(read_seq(r, read_table)?),
+            "constraints" if constraints.is_none() => constraints = Some(read_small(r)?),
+            _ => {
+                r.skip_value()?;
+            }
+        }
+    }
+    Ok(DatabaseUpload {
+        name: name.ok_or_else(|| DeError::missing_field("DatabaseUpload", "name"))?,
+        tables: tables.ok_or_else(|| DeError::missing_field("DatabaseUpload", "tables"))?,
+        constraints: constraints.unwrap_or_default(),
+    })
+}
+
+/// A table's payload as the walk meets it: streamed into columns if the
+/// table's name and attributes came first (the order
+/// `serde_json::to_string` writes), else where it lies, to be streamed
+/// once they are known.
+enum Payload {
+    Streamed(Vec<Column>),
+    Deferred(Span),
+}
+
+fn read_table(r: &mut Reader<'_>) -> Result<TableUpload, DeError> {
+    let mut name: Option<String> = None;
+    let mut attributes: Option<Vec<AttributeUpload>> = None;
+    let mut payload: Option<(UploadFormat, Payload)> = None;
+    let mut both = false;
+    let mut keys = r.object("JSON object for `TableUpload`")?;
+    while let Some(key) = keys.next_key(r)? {
+        match &*key {
+            "name" if name.is_none() => name = Some(read_string(r)?),
+            "attributes" if attributes.is_none() => attributes = Some(read_small(r)?),
+            "rows" | "csv" => {
+                let format = if key == "rows" {
+                    UploadFormat::JsonRows
+                } else {
+                    UploadFormat::Csv
+                };
+                let first = payload.as_ref().map(|(format, _)| *format);
+                match (first, &name, &attributes) {
+                    (None, Some(name), Some(attributes)) => {
+                        let columns = stream(r, format, name, attributes)?;
+                        payload = Some((format, Payload::Streamed(columns)));
+                    }
+                    (None, _, _) => payload = Some((format, Payload::Deferred(r.skip_value()?))),
+                    (Some(first), _, _) => {
+                        both |= first != format;
+                        r.skip_value()?;
+                    }
+                }
+            }
+            _ => {
+                r.skip_value()?;
+            }
+        }
+    }
+    let name = name.ok_or_else(|| DeError::missing_field("TableUpload", "name"))?;
+    let attributes =
+        attributes.ok_or_else(|| DeError::missing_field("TableUpload", "attributes"))?;
+    if both {
+        return Err(DeError::custom(format!(
+            "table `{name}`: give `rows` or `csv`, not both"
+        )));
+    }
+    let (format, columns) = match payload {
+        None => (
+            UploadFormat::JsonRows,
+            attributes.iter().map(|_| Column::default()).collect(),
+        ),
+        Some((format, Payload::Streamed(columns))) => (format, columns),
+        Some((format, Payload::Deferred(span))) => {
+            let columns = stream(&mut r.revisit(span), format, &name, &attributes)?;
+            (format, columns)
+        }
+    };
+    Ok(TableUpload {
+        name,
+        attributes,
+        columns,
+        format,
+    })
+}
+
+/// Stream one table payload into typed columns, one per attribute.
+fn stream(
+    r: &mut Reader<'_>,
+    format: UploadFormat,
+    table: &str,
+    attributes: &[AttributeUpload],
+) -> Result<Vec<Column>, DeError> {
+    let mut columns: Vec<Column> = attributes.iter().map(|_| Column::default()).collect();
+    match format {
+        UploadFormat::JsonRows => read_rows(r, table, attributes, &mut columns)?,
+        UploadFormat::Csv => read_csv(r, table, attributes, &mut columns)?,
+    }
+    Ok(columns)
+}
+
+/// Stream a `rows` array cell by cell into `columns`.
+fn read_rows(
+    r: &mut Reader<'_>,
+    table: &str,
+    attributes: &[AttributeUpload],
+    columns: &mut [Column],
+) -> Result<(), DeError> {
+    let mut rows = r.array("a JSON array for `rows`")?;
+    let mut row = 0;
+    while rows.next(r)? {
+        let mut cells = r.array("a JSON array for each row")?;
+        let mut n = 0;
+        while cells.next(r)? {
+            match attributes.get(n) {
+                Some(attr) => {
+                    let cell = r.scalar("a scalar JSON value for a table cell")?;
+                    push_cell(&mut columns[n], table, attr, row, cell)?;
+                }
+                // A cell too many: counted for the error below.
+                None => {
+                    r.skip_value()?;
+                }
+            }
+            n += 1;
+        }
+        if n != attributes.len() {
+            return Err(DeError::custom(format!(
+                "table `{table}`, row {row}: {n} cells, {} attributes declared",
+                attributes.len()
+            )));
+        }
+        row += 1;
+    }
+    Ok(())
+}
+
+/// Stream a `csv` string record by record into `columns`. The header
+/// must name the declared attributes, in order; an empty field is NULL.
+fn read_csv(
+    r: &mut Reader<'_>,
+    table: &str,
+    attributes: &[AttributeUpload],
+    columns: &mut [Column],
+) -> Result<(), DeError> {
+    let text = r.string("a string for `csv`")?;
+    let declared = || attributes.iter().map(|a| a.name.as_str());
+    stream_csv(&text, |record, fields| {
+        if record == 0 {
+            if !fields.iter().map(|f| &**f).eq(declared()) {
+                return Err(DeError::custom(format!(
+                    "table `{table}`: csv header {fields:?} does not match declared \
+                     attributes {:?}",
+                    declared().collect::<Vec<_>>()
+                )));
+            }
+            return Ok(());
+        }
+        let row = record - 1;
+        if fields.len() != attributes.len() {
+            return Err(DeError::custom(format!(
+                "table `{table}`, csv row {row}: {} fields, {} attributes declared",
+                fields.len(),
+                attributes.len()
+            )));
+        }
+        for ((field, attr), column) in fields.iter().zip(attributes).zip(columns.iter_mut()) {
+            if field.is_empty() {
+                column.push(ValueRef::Null);
+            } else {
+                push_text(column, table, attr, row, field)?;
+            }
+        }
+        Ok(())
+    })
 }
 
 // --- assembly -----------------------------------------------------------
@@ -959,10 +1136,17 @@ impl ConstraintUpload {
 
 impl ScenarioUpload {
     /// Parse an upload document from raw request bytes.
+    ///
+    /// Streams every table payload into typed columns as it goes (see
+    /// the module docs). Peak extra heap stays within the body's size
+    /// plus twice the resulting columns' [`Column::heap_bytes`], a bound
+    /// the `parse_heap` test checks.
     pub fn parse(bytes: &[u8]) -> Result<Self, IngestError> {
         let text = std::str::from_utf8(bytes)
             .map_err(|_| IngestError::new("request body is not valid UTF-8"))?;
-        serde_json::from_str::<ScenarioUpload>(text)
+        let mut r = Reader::new(text);
+        read_scenario(&mut r)
+            .and_then(|upload| r.finish().map(|()| upload))
             .map_err(|e| IngestError::new(format!("invalid upload document: {e}")))
     }
 

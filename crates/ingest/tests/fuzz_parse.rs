@@ -1,7 +1,10 @@
 //! Robustness properties: no input, however hostile, may panic the
-//! ingest parser. Errors are the contract; crashes are bugs.
+//! ingest parser. Errors are the contract; crashes are bugs. Every input
+//! also goes through the `Content`-tree oracle, and the streaming parser
+//! must agree with it (see `oracle::assert_agree`).
 
-use efes_ingest::ScenarioUpload;
+mod oracle;
+
 use proptest::prelude::*;
 
 /// A valid document to mutate, with both payload styles present.
@@ -30,12 +33,11 @@ const SEED_DOC: &str = r#"{
   "correspondences": [{"source_table": "t", "target_table": "u"}]
 }"#;
 
-/// Parse and, when the document survives parsing, assemble — both
-/// stages must fail gracefully, never panic.
+/// Parse both ways and, when the document survives parsing, assemble —
+/// both stages must fail gracefully, never panic, and agree with the
+/// oracle.
 fn exercise(bytes: &[u8]) {
-    if let Ok(upload) = ScenarioUpload::parse(bytes) {
-        let _ = upload.into_scenario();
-    }
+    let _ = oracle::assert_agree(bytes);
 }
 
 proptest! {

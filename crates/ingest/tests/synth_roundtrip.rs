@@ -1,6 +1,10 @@
 //! End-to-end fidelity: a generated synthetic scenario, serialised to
 //! an upload document and ingested back, reproduces the exact scenario
-//! — including every defect the generator's manifest records.
+//! — including every defect the generator's manifest records — and the
+//! streaming parser reads each document as the `Content`-tree oracle
+//! does.
+
+mod oracle;
 
 use efes_ingest::{scenario_fingerprint, ScenarioUpload, UploadFormat};
 use efes_relational::{IntegrationScenario, TableId, Value};
@@ -17,7 +21,7 @@ fn round_trip(format: UploadFormat) -> (IntegrationScenario, IntegrationScenario
 
     let upload = ScenarioUpload::from_scenario(&synth.scenario, format);
     let json = serde_json::to_string(&upload).unwrap();
-    let back = ScenarioUpload::parse(json.as_bytes())
+    let back = oracle::assert_agree(json.as_bytes())
         .unwrap()
         .into_scenario()
         .unwrap();

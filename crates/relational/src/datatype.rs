@@ -1,5 +1,6 @@
 //! Declared attribute datatypes and cast semantics.
 
+use crate::column::ValueRef;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -73,39 +74,41 @@ impl DataType {
                     None
                 }
             }
-            (DataType::Integer, Value::Text(s)) => s.trim().parse::<i64>().ok().map(Value::Int),
+            (_, Value::Text(s)) => self.cast_text(s).map(ValueRef::to_value),
             (DataType::Integer, Value::Bool(b)) => Some(Value::Int(*b as i64)),
             (DataType::Float, Value::Int(i)) => Some(Value::Float(*i as f64)),
             (DataType::Float, Value::Float(f)) => Some(Value::Float(*f)),
-            (DataType::Float, Value::Text(s)) => s.trim().parse::<f64>().ok().map(Value::Float),
             (DataType::Float, Value::Bool(b)) => Some(Value::Float(*b as i64 as f64)),
             (DataType::Text, v) => Some(Value::Text(v.render())),
             (DataType::Boolean, Value::Bool(b)) => Some(Value::Bool(*b)),
             (DataType::Boolean, Value::Int(0)) => Some(Value::Bool(false)),
             (DataType::Boolean, Value::Int(1)) => Some(Value::Bool(true)),
-            (DataType::Boolean, Value::Text(s)) => match s.trim().to_ascii_lowercase().as_str() {
-                "true" | "t" | "yes" | "1" => Some(Value::Bool(true)),
-                "false" | "f" | "no" | "0" => Some(Value::Bool(false)),
-                _ => None,
-            },
             (DataType::Boolean, _) => None,
         }
     }
 
-    /// `true` iff a text payload casts into this datatype — exactly
-    /// `self.try_cast(&Value::Text(..)).is_some()`, without building the
-    /// `Value`. The columnar profiler uses this to run cast checks once
-    /// per *distinct* dictionary string.
-    pub fn casts_text(self, s: &str) -> bool {
+    /// Cast a text payload into this datatype: exactly
+    /// `self.try_cast(&Value::Text(s.into()))`, without building the
+    /// `Value` — a text result borrows `s`. The upload parser casts CSV
+    /// fields and JSON text cells through it.
+    pub fn cast_text(self, s: &str) -> Option<ValueRef<'_>> {
         match self {
-            DataType::Integer => s.trim().parse::<i64>().is_ok(),
-            DataType::Float => s.trim().parse::<f64>().is_ok(),
-            DataType::Text => true,
-            DataType::Boolean => matches!(
-                s.trim().to_ascii_lowercase().as_str(),
-                "true" | "t" | "yes" | "1" | "false" | "f" | "no" | "0"
-            ),
+            DataType::Integer => s.trim().parse::<i64>().ok().map(ValueRef::Int),
+            DataType::Float => s.trim().parse::<f64>().ok().map(ValueRef::Float),
+            DataType::Text => Some(ValueRef::Text(s)),
+            DataType::Boolean => match s.trim().to_ascii_lowercase().as_str() {
+                "true" | "t" | "yes" | "1" => Some(ValueRef::Bool(true)),
+                "false" | "f" | "no" | "0" => Some(ValueRef::Bool(false)),
+                _ => None,
+            },
         }
+    }
+
+    /// `true` iff a text payload casts into this datatype. The columnar
+    /// profiler uses this to run cast checks once per *distinct*
+    /// dictionary string.
+    pub fn casts_text(self, s: &str) -> bool {
+        self.cast_text(s).is_some()
     }
 
     /// Infer the narrowest datatype that admits every value in `values`.

@@ -265,6 +265,34 @@ fn discovery_and_error_paths_answer_without_panicking() {
     handle.shutdown();
 }
 
+/// Ten thousand nested arrays, or a chain of ten thousand objects, once
+/// overflowed a connection thread's stack and aborted the process. Every
+/// endpoint that parses JSON now answers 400, and the server stays up.
+#[test]
+fn deeply_nested_bodies_answer_400_and_the_server_stays_up() {
+    let handle = Server::start(ServerConfig::default(), efes_scenarios::standard_registry())
+        .expect("start server");
+    let addr = handle.addr();
+    let arrays = "[".repeat(10_000);
+    let objects = r#"{"a":"#.repeat(10_000);
+    for path in ["/estimate", "/match", "/scenarios"] {
+        for deep in [&arrays, &objects] {
+            let request = format!(
+                "POST {path} HTTP/1.1\r\nhost: efes\r\ncontent-length: {}\r\n\r\n{deep}",
+                deep.len()
+            );
+            let (status, _, body) = send_raw(addr, request.as_bytes());
+            assert_eq!(status, 400, "{path}: {body}");
+            if deep.starts_with('{') {
+                assert!(body.contains("recursion limit exceeded"), "{path}: {body}");
+            }
+            let (status, _, _) = get(addr, "/healthz");
+            assert_eq!(status, 200, "/healthz after a deep body to {path}");
+        }
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn saturated_queue_sheds_with_429_and_retry_after() {
     let handle = slow_server();
