@@ -16,12 +16,12 @@
 //! fails (non-zero exit) only on build/run errors, never on regressions.
 
 use efes_bench::Provenance;
-use efes_exec::ExecutionMode;
+use efes_exec::{ExecutionMode, RunContext};
 use efes_matching::{
     similarity_flooding, similarity_flooding_reference, CombinedMatcher, FloodingConfig,
     MatcherConfig, PrunePolicy,
 };
-use efes_profiling::{AttributeProfile, ProfileCache};
+use efes_profiling::{AttributeProfile, PartialProfile, ProfileCache};
 use efes_relational::{Column, DataType, Database, DatabaseBuilder, Value};
 use serde::Serialize;
 use std::time::Instant;
@@ -237,6 +237,25 @@ fn main() {
     }));
     record_wide("numeric_100k_profile_accumulator", median_ns(wide_iters, || {
         std::hint::black_box(AttributeProfile::compute_columnar(&int100_store, DataType::Integer));
+    }));
+    // The append path: a partial retained over the first 9·10⁴ rows
+    // absorbs the 10⁴-row tail and finalizes, as an extension upload's
+    // refresh does. Each run grows its own copy; copying and dropping
+    // the copies stay outside the timed region.
+    let split = wide_rows - wide_rows / 10;
+    let run = RunContext::unbounded();
+    let prefix = Column::from_cells(int_column(split));
+    let retained = PartialProfile::of_column_ctx(&prefix, DataType::Integer, &run.checkpoint())
+        .expect("unbounded runs never cancel");
+    let mut copies: Vec<PartialProfile> = (0..=wide_iters).map(|_| retained.clone()).collect();
+    let mut grown = Vec::with_capacity(copies.len());
+    record_wide("numeric_100k_profile_append", median_ns(wide_iters, || {
+        let mut partial = copies.pop().expect("one copy per run");
+        partial
+            .accumulate_range(&int100_store, split, wide_rows, &run.checkpoint())
+            .expect("unbounded runs never cancel");
+        std::hint::black_box(partial.finalize());
+        grown.push(partial);
     }));
 
     let ratio = |base: u64, new: u64| {

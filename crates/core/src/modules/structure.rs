@@ -26,7 +26,7 @@ use efes_csg::convert::CsgConversion;
 use efes_csg::planner::{PlannerOptions, StructureTaskKind};
 use efes_csg::virtual_instance::AffectedCounts;
 use efes_csg::{
-    database_to_csg_ctx, detect_conflicts_ctx, match_relationships_with, schema_to_csg,
+    database_to_csg_ctx, detect_conflicts_ctx, match_relationships_ctx, schema_to_csg,
     simulate_repairs, Cardinality, Csg, Direction, NodeCorrespondences, RelId, RelRef,
     StructuralConflict, VirtualCsg,
 };
@@ -170,7 +170,8 @@ impl StructureModule {
         let cancelled = |_| ModuleError::cancelled("structure");
         let source_conv = database_to_csg_ctx(source, run).map_err(cancelled)?;
         let corr = NodeCorrespondences::from_scenario(scenario, sid, target, &source_conv);
-        let matches = match_relationships_with(&target.csg, &source_conv.csg, &corr, mode);
+        let matches = match_relationships_ctx(&target.csg, &source_conv.csg, &corr, mode, run)
+            .map_err(cancelled)?;
         Ok(detect_conflicts_ctx(target, &source_conv, &matches, run)
             .map_err(cancelled)?
             .into_iter()

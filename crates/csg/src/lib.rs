@@ -50,7 +50,8 @@ pub use expr::{DomainWidth, RelExpr};
 pub use graph::{Csg, Direction, NodeId, NodeKind, RelId, RelKind, RelRef};
 pub use instance::{eval_memo_counters, CsgInstance};
 pub use matching::{
-    match_relationships, match_relationships_with, NodeCorrespondences, RelationshipMatch,
+    match_relationships, match_relationships_ctx, match_relationships_with, NodeCorrespondences,
+    RelationshipMatch,
 };
 pub use nary::{
     composite_fk_violations, composite_fk_violations_reference, composite_unique_violations,

@@ -13,7 +13,7 @@ use crate::cardinality::Cardinality;
 use crate::convert::CsgConversion;
 use crate::expr::RelExpr;
 use crate::graph::{Csg, NodeId, RelId, RelRef};
-use efes_exec::{parallel_map, ExecutionMode};
+use efes_exec::{parallel_map, Cancelled, Checkpoint, ExecutionMode, RunContext};
 use efes_relational::{CorrespondenceSet, IntegrationScenario, SourceId};
 use std::collections::HashMap;
 
@@ -114,46 +114,103 @@ impl Default for SearchLimits {
     }
 }
 
-/// Enumerate simple paths (no repeated nodes) from `from` to `to` in `g`.
-fn enumerate_paths(g: &Csg, from: NodeId, to: NodeId, limits: SearchLimits) -> Vec<Vec<RelRef>> {
-    let mut results = Vec::new();
-    let mut stack: Vec<RelRef> = Vec::new();
-    let mut visited: Vec<NodeId> = vec![from];
-
-    fn dfs(
-        g: &Csg,
-        current: NodeId,
-        to: NodeId,
-        limits: SearchLimits,
-        stack: &mut Vec<RelRef>,
-        visited: &mut Vec<NodeId>,
-        results: &mut Vec<Vec<RelRef>>,
-    ) {
-        if results.len() >= limits.max_candidates {
-            return;
-        }
-        if current == to && !stack.is_empty() {
-            results.push(stack.clone());
-            return;
-        }
-        if stack.len() >= limits.max_len {
-            return;
-        }
-        for r in g.readings_from(current) {
+/// Enumerate simple paths (no repeated nodes) from `from` to `to` in
+/// `g`, depth first over each node's readings in
+/// [`Csg::readings_from`] order, within `limits`.
+///
+/// A breadth-first pass first measures every node's distance to `to`.
+/// That distance ignores the no-repeat rule, so it never overestimates,
+/// and the walk skips every step after which `to` lies beyond the
+/// remaining length. A skipped branch holds no path, so the paths and
+/// their order are those of the full walk; an unreachable `to` costs
+/// O(V + E). The walk ticks `ck` once per reading it tries.
+fn enumerate_paths(
+    g: &Csg,
+    from: NodeId,
+    to: NodeId,
+    limits: SearchLimits,
+    ck: &Checkpoint<'_>,
+) -> Result<Vec<Vec<RelRef>>, Cancelled> {
+    // A simple path never returns to its start.
+    if from == to {
+        return Ok(Vec::new());
+    }
+    // Each relationship reads forward from its start and backward from
+    // its end, so reachability is symmetric and a search from `to`
+    // measures every node's distance to it.
+    let mut readings: Vec<Vec<RelRef>> = vec![Vec::new(); g.nodes().len()];
+    for (i, rel) in g.relationships().iter().enumerate() {
+        readings[rel.from.0].push(RelRef::fwd(RelId(i)));
+        readings[rel.to.0].push(RelRef::bwd(RelId(i)));
+    }
+    let mut dist = vec![usize::MAX; readings.len()];
+    dist[to.0] = 0;
+    let mut queue = std::collections::VecDeque::from([to]);
+    while let Some(n) = queue.pop_front() {
+        for &r in &readings[n.0] {
+            ck.tick()?;
             let next = g.end_of(r);
-            if visited.contains(&next) {
-                continue;
+            if dist[next.0] == usize::MAX {
+                dist[next.0] = dist[n.0] + 1;
+                queue.push_back(next);
             }
-            stack.push(r);
-            visited.push(next);
-            dfs(g, next, to, limits, stack, visited, results);
-            visited.pop();
-            stack.pop();
         }
     }
 
-    dfs(g, from, to, limits, &mut stack, &mut visited, &mut results);
-    results
+    struct Walk<'a, 'c> {
+        g: &'a Csg,
+        readings: &'a [Vec<RelRef>],
+        dist: &'a [usize],
+        to: NodeId,
+        limits: SearchLimits,
+        ck: &'a Checkpoint<'c>,
+        stack: Vec<RelRef>,
+        visited: Vec<NodeId>,
+        results: Vec<Vec<RelRef>>,
+    }
+
+    impl Walk<'_, '_> {
+        fn dfs(&mut self, current: NodeId) -> Result<(), Cancelled> {
+            if self.results.len() >= self.limits.max_candidates {
+                return Ok(());
+            }
+            if current == self.to && !self.stack.is_empty() {
+                self.results.push(self.stack.clone());
+                return Ok(());
+            }
+            if self.stack.len() >= self.limits.max_len {
+                return Ok(());
+            }
+            let left = self.limits.max_len - self.stack.len() - 1;
+            for &r in &self.readings[current.0] {
+                self.ck.tick()?;
+                let next = self.g.end_of(r);
+                if self.dist[next.0] > left || self.visited.contains(&next) {
+                    continue;
+                }
+                self.stack.push(r);
+                self.visited.push(next);
+                self.dfs(next)?;
+                self.visited.pop();
+                self.stack.pop();
+            }
+            Ok(())
+        }
+    }
+
+    let mut walk = Walk {
+        g,
+        readings: &readings,
+        dist: &dist,
+        to,
+        limits,
+        ck,
+        stack: Vec::new(),
+        visited: vec![from],
+        results: Vec::new(),
+    };
+    walk.dfs(from)?;
+    Ok(walk.results)
 }
 
 /// Order two candidate paths by the paper's conciseness criterion.
@@ -208,15 +265,31 @@ pub fn match_one(
     target_rel: RelId,
     limits: SearchLimits,
 ) -> Option<RelationshipMatch> {
+    let run = RunContext::unbounded();
+    let ck = run.checkpoint();
+    match_one_ctx(target_csg, source_csg, corr, target_rel, limits, &ck)
+        .expect("unbounded context never cancels")
+}
+
+/// [`match_one`], its path search ticking `ck`.
+fn match_one_ctx(
+    target_csg: &Csg,
+    source_csg: &Csg,
+    corr: &NodeCorrespondences,
+    target_rel: RelId,
+    limits: SearchLimits,
+    ck: &Checkpoint<'_>,
+) -> Result<Option<RelationshipMatch>, Cancelled> {
     let target = RelRef::fwd(target_rel);
     let t_start = target_csg.start_of(target);
     let t_end = target_csg.end_of(target);
-    let s_start = corr.get(t_start)?;
-    let s_end = corr.get(t_end)?;
+    let (Some(s_start), Some(s_end)) = (corr.get(t_start), corr.get(t_end)) else {
+        return Ok(None);
+    };
 
-    let paths = enumerate_paths(source_csg, s_start, s_end, limits);
+    let paths = enumerate_paths(source_csg, s_start, s_end, limits, ck)?;
     if paths.is_empty() {
-        return None;
+        return Ok(None);
     }
     let mut candidates: Vec<(Vec<RelRef>, Cardinality)> = paths
         .into_iter()
@@ -234,15 +307,17 @@ pub fn match_one(
             std::cmp::Ordering::Equal
         }
     });
-    let (best_path, inferred_fwd) = candidates.into_iter().next()?;
+    let Some((best_path, inferred_fwd)) = candidates.into_iter().next() else {
+        return Ok(None);
+    };
     let reversed: Vec<RelRef> = best_path.iter().rev().map(|r| r.reverse()).collect();
     let inferred_bwd = RelExpr::path(&reversed).inferred_cardinality(source_csg);
-    Some(RelationshipMatch {
+    Ok(Some(RelationshipMatch {
         target,
         source_expr: RelExpr::path(&best_path),
         inferred_fwd,
         inferred_bwd,
-    })
+    }))
 }
 
 /// Match every atomic target relationship into the source graph.
@@ -266,14 +341,31 @@ pub fn match_relationships_with(
     corr: &NodeCorrespondences,
     mode: ExecutionMode,
 ) -> Vec<RelationshipMatch> {
+    match_relationships_ctx(target_csg, source_csg, corr, mode, &RunContext::unbounded())
+        .expect("unbounded context never cancels")
+}
+
+/// [`match_relationships_with`] under a [`RunContext`]: each path
+/// search ticks a checkpoint per reading it tries, so a cancelled run
+/// aborts it within one check interval.
+pub fn match_relationships_ctx(
+    target_csg: &Csg,
+    source_csg: &Csg,
+    corr: &NodeCorrespondences,
+    mode: ExecutionMode,
+    run: &RunContext,
+) -> Result<Vec<RelationshipMatch>, Cancelled> {
     let limits = SearchLimits::default();
     let ids: Vec<usize> = (0..target_csg.relationships().len()).collect();
-    parallel_map(mode, ids, |i| {
-        match_one(target_csg, source_csg, corr, RelId(i), limits)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    let mut matches = Vec::new();
+    let found = parallel_map(mode, ids, |i| {
+        let ck = run.checkpoint();
+        match_one_ctx(target_csg, source_csg, corr, RelId(i), limits, &ck)
+    });
+    for found in found {
+        matches.extend(found?);
+    }
+    Ok(matches)
 }
 
 #[cfg(test)]
@@ -428,5 +520,126 @@ mod tests {
         let m = match_one(&tgt, &tgt, &corr, rel, SearchLimits::default()).unwrap();
         assert_eq!(m.inferred_fwd, Cardinality::one());
         assert_eq!(m.source_expr.len(), 1);
+    }
+
+    /// Every simple path, depth first, with no pruning: the walk the
+    /// distance bound must reproduce.
+    fn unpruned_paths(g: &Csg, from: NodeId, to: NodeId, limits: SearchLimits) -> Vec<Vec<RelRef>> {
+        fn dfs(
+            g: &Csg,
+            current: NodeId,
+            to: NodeId,
+            limits: SearchLimits,
+            stack: &mut Vec<RelRef>,
+            visited: &mut Vec<NodeId>,
+            results: &mut Vec<Vec<RelRef>>,
+        ) {
+            if results.len() >= limits.max_candidates {
+                return;
+            }
+            if current == to && !stack.is_empty() {
+                results.push(stack.clone());
+                return;
+            }
+            if stack.len() >= limits.max_len {
+                return;
+            }
+            for r in g.readings_from(current) {
+                let next = g.end_of(r);
+                if visited.contains(&next) {
+                    continue;
+                }
+                stack.push(r);
+                visited.push(next);
+                dfs(g, next, to, limits, stack, visited, results);
+                visited.pop();
+                stack.pop();
+            }
+        }
+        let mut results = Vec::new();
+        dfs(
+            g,
+            from,
+            to,
+            limits,
+            &mut Vec::new(),
+            &mut vec![from],
+            &mut results,
+        );
+        results
+    }
+
+    proptest::proptest! {
+        /// Pruning by the distance to the end drops only branches that
+        /// hold no path: the paths found, their order and the cut at
+        /// `max_candidates` are those of the unpruned walk.
+        #[test]
+        fn pruned_search_finds_the_unpruned_paths_in_order(
+            nodes in 2usize..9,
+            edges in proptest::collection::vec((0usize..9, 0usize..9), 0..16),
+            from in 0usize..9,
+            to in 0usize..9,
+            max_len in 1usize..7,
+            max_candidates in 1usize..40,
+        ) {
+            let mut g = Csg::new("g");
+            let ids: Vec<NodeId> = (0..nodes)
+                .map(|i| g.add_node(format!("n{i}"), NodeKind::Attribute))
+                .collect();
+            for (a, b) in edges {
+                g.add_relationship(
+                    ids[a % nodes],
+                    ids[b % nodes],
+                    RelKind::Equality,
+                    Cardinality::any(),
+                    Cardinality::any(),
+                );
+            }
+            let limits = SearchLimits { max_len, max_candidates };
+            let (from, to) = (ids[from % nodes], ids[to % nodes]);
+            let run = RunContext::unbounded();
+            let pruned = enumerate_paths(&g, from, to, limits, &run.checkpoint()).unwrap();
+            proptest::prop_assert_eq!(pruned, unpruned_paths(&g, from, to, limits));
+        }
+    }
+
+    #[test]
+    fn a_cancelled_run_stops_the_path_search() {
+        // A clique of 12 nodes holds millions of simple paths of up to 8
+        // readings, none of which ends at the isolated node.
+        let mut g = Csg::new("clique");
+        let link = |g: &mut Csg, a: NodeId, b: NodeId| {
+            g.add_relationship(
+                a,
+                b,
+                RelKind::Equality,
+                Cardinality::any(),
+                Cardinality::any(),
+            );
+        };
+        let ids: Vec<NodeId> = (0..12)
+            .map(|i| g.add_node(format!("n{i}"), NodeKind::Attribute))
+            .collect();
+        for a in 0..12 {
+            for b in a + 1..12 {
+                link(&mut g, ids[a], ids[b]);
+            }
+        }
+        let lone = g.add_node("lone", NodeKind::Attribute);
+        let run = RunContext::unbounded();
+        let limits = SearchLimits::default();
+        assert!(enumerate_paths(&g, ids[0], lone, limits, &run.checkpoint())
+            .unwrap()
+            .is_empty());
+        // Reachable through one extra node: the walk is long, and a
+        // cancelled run abandons it.
+        link(&mut g, ids[11], lone);
+        let cancelled = RunContext::unbounded();
+        cancelled.token().cancel();
+        let limits = SearchLimits {
+            max_len: 8,
+            max_candidates: usize::MAX,
+        };
+        assert!(enumerate_paths(&g, ids[0], lone, limits, &cancelled.checkpoint()).is_err());
     }
 }

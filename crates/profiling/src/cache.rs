@@ -171,8 +171,9 @@ impl ProfileCache {
     /// computed through [`of_attribute_ctx`](Self::of_attribute_ctx)
     /// keeps its [`PartialProfile`] alongside the finalized result, so
     /// [`snapshot_partials`](Self::snapshot_partials) can hand them to
-    /// an O(delta) append. Costs the partial's memory per entry;
-    /// intended for caches backing mutable (uploaded) scenarios.
+    /// an O(delta) append. Each entry then also holds its partial, one
+    /// count per distinct value and one float per row: about twice its
+    /// column. Intended for caches backing mutable (uploaded) scenarios.
     pub fn retaining_partials(mut self) -> Self {
         self.retain_partials = true;
         self

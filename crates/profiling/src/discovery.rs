@@ -9,10 +9,11 @@
 //! (foreign-key candidates) and single-LHS functional dependencies.
 
 use efes_exec::{parallel_map, ExecutionMode};
+use efes_relational::column::NULL_CODE;
 use efes_relational::schema::{AttrId, TableId};
-use efes_relational::{Constraint, ConstraintKind, ConstraintSet, Database, Value, ValueRef};
+use efes_relational::{Column, Constraint, ConstraintKind, ConstraintSet, Database, DistinctCodes};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A unary inclusion dependency `from ⊆ to`: every non-null value of the
 /// `from` column occurs in the `to` column. The classical precondition for
@@ -115,8 +116,9 @@ pub fn discover_constraints(db: &Database, opts: &DiscoveryOptions) -> Discovery
 }
 
 /// Like [`discover_constraints`], under an explicit [`ExecutionMode`]:
-/// the per-column digests (null counts, distinct sets) dominate the cost
-/// and are independent per column, so they fan out over worker threads.
+/// the per-column digests (null counts, each column's
+/// [`Column::distinct_codes`]) dominate the cost and are independent per
+/// column, so they fan out over worker threads.
 /// The discovered constraint set is identical in either mode.
 pub fn discover_constraints_with(
     db: &Database,
@@ -125,43 +127,41 @@ pub fn discover_constraints_with(
 ) -> DiscoveryResult {
     let mut out = DiscoveryResult::default();
 
-    // Per-column digests reused by all detectors.
-    struct ColumnDigest {
+    // Per-column digests reused by all detectors: each column's one
+    // first-seen numbering of its values.
+    struct ColumnDigest<'a> {
         table: TableId,
         attr: AttrId,
         rows: usize,
         nulls: usize,
-        distinct: HashSet<Value>,
+        distinct: DistinctCodes<'a>,
         all_distinct: bool,
     }
     let columns: Vec<(TableId, AttrId)> = db
         .instance
         .iter_tables()
-        .flat_map(|(tid, _)| {
-            (0..db.schema.table(tid).arity()).map(move |ai| (tid, AttrId(ai)))
-        })
+        .flat_map(|(tid, _)| (0..db.schema.table(tid).arity()).map(move |ai| (tid, AttrId(ai))))
         .collect();
-    let digests: Vec<ColumnDigest> = parallel_map(mode, columns, |(tid, attr)| {
+    let digests: Vec<ColumnDigest<'_>> = parallel_map(mode, columns, |(tid, attr)| {
         let data = db.instance.table(tid);
-        let mut nulls = 0usize;
-        let mut distinct = HashSet::new();
-        let mut all_distinct = true;
-        for v in data.column(attr) {
-            if v.is_null() {
-                nulls += 1;
-            } else if !distinct.insert(v.to_value()) {
-                all_distinct = false;
-            }
-        }
+        let col = data.column_store(attr).unwrap_or(Column::empty());
+        let distinct = col.distinct_codes();
+        let nulls = col.null_count();
         ColumnDigest {
             table: tid,
             attr,
             rows: data.len(),
             nulls,
+            all_distinct: distinct.len() == col.len() - nulls,
             distinct,
-            all_distinct,
         }
     });
+    let digest = |table: TableId, attr: usize| {
+        digests
+            .iter()
+            .find(|d| d.table == table && d.attr == AttrId(attr))
+            .expect("every attribute has a digest")
+    };
 
     if opts.not_null {
         for d in &digests {
@@ -216,11 +216,12 @@ pub fn discover_constraints_with(
             }
             'pairs: for a in 0..arity {
                 for b in (a + 1)..arity {
-                    let mut seen: HashSet<(ValueRef<'_>, ValueRef<'_>)> =
-                        HashSet::with_capacity(data.len());
+                    let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(data.len());
                     let mut ok = true;
-                    for key in data.column(AttrId(a)).zip(data.column(AttrId(b))) {
-                        if key.0.is_null() || key.1.is_null() || !seen.insert(key) {
+                    let codes_a = digest(tid, a).distinct.codes().iter().copied();
+                    let codes_b = digest(tid, b).distinct.codes().iter().copied();
+                    for key in codes_a.zip(codes_b) {
+                        if key.0 == NULL_CODE || key.1 == NULL_CODE || !seen.insert(key) {
                             ok = false;
                             break;
                         }
@@ -258,7 +259,9 @@ pub fn discover_constraints_with(
                 if from_type != to_type {
                     continue;
                 }
-                if from.distinct.iter().all(|v| to.distinct.contains(v)) {
+                let contained = (0..from.distinct.len() as u32)
+                    .all(|code| to.distinct.code_of(from.distinct.value(code)).is_some());
+                if contained {
                     out.inclusion_dependencies.push(InclusionDependency {
                         from: (from.table, from.attr),
                         to: (to.table, to.attr),
@@ -297,29 +300,27 @@ pub fn discover_constraints_with(
                     if lhs == rhs {
                         continue;
                     }
-                    let mut mapping: HashMap<ValueRef<'_>, ValueRef<'_>> = HashMap::new();
+                    // The rhs code each lhs code maps to; NULL on the
+                    // right is a value like any other.
+                    let (l, r) = (digest(tid, lhs), digest(tid, rhs));
+                    let mut mapping: Vec<Option<u32>> = vec![None; l.distinct.len()];
                     let mut holds = true;
-                    for (l, r) in data.column(AttrId(lhs)).zip(data.column(AttrId(rhs))) {
-                        if l.is_null() {
+                    for (&lc, &rc) in l.distinct.codes().iter().zip(r.distinct.codes()) {
+                        if lc == NULL_CODE {
                             continue;
                         }
-                        match mapping.get(&l) {
-                            Some(prev) if *prev != r => {
+                        match mapping[lc as usize] {
+                            Some(prev) if prev != rc => {
                                 holds = false;
                                 break;
                             }
                             Some(_) => {}
-                            None => {
-                                mapping.insert(l, r);
-                            }
+                            None => mapping[lc as usize] = Some(rc),
                         }
                     }
                     // Skip trivial FDs from unique columns: everything is
                     // determined by a key; reporting those adds noise.
-                    let lhs_unique = digests
-                        .iter()
-                        .any(|d| d.table == tid && d.attr == AttrId(lhs) && d.all_distinct);
-                    if holds && !lhs_unique {
+                    if holds && !l.all_distinct {
                         out.functional_dependencies.push(FunctionalDependency {
                             table: tid,
                             lhs: AttrId(lhs),
@@ -337,7 +338,7 @@ pub fn discover_constraints_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use efes_relational::{DataType, DatabaseBuilder};
+    use efes_relational::{DataType, DatabaseBuilder, Value};
 
     fn db() -> Database {
         DatabaseBuilder::new("d")
@@ -431,6 +432,34 @@ mod tests {
             .functional_dependencies
             .iter()
             .any(|fd| fd.table == TableId(1) && fd.lhs == AttrId(1) && fd.rhs == AttrId(2)));
+    }
+
+    #[test]
+    fn functional_dependencies_skip_columns_distinct_apart_from_nulls() {
+        // `a`'s non-null values are distinct, so it determines every
+        // other column trivially and is skipped, NULL row and all.
+        let db = DatabaseBuilder::new("n")
+            .table("t", |t| {
+                t.attr("a", DataType::Integer).attr("b", DataType::Text)
+            })
+            .rows(
+                "t",
+                vec![
+                    vec![1.into(), "x".into()],
+                    vec![2.into(), "x".into()],
+                    vec![Value::Null, "y".into()],
+                    vec![3.into(), "z".into()],
+                ],
+            )
+            .build()
+            .unwrap();
+        let opts = DiscoveryOptions {
+            functional_dependencies: true,
+            ..DiscoveryOptions::default()
+        };
+        let r = discover_constraints(&db, &opts);
+        let lhs: Vec<AttrId> = r.functional_dependencies.iter().map(|fd| fd.lhs).collect();
+        assert!(!lhs.contains(&AttrId(0)), "{lhs:?}");
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! [`AttributeProfile::compute_multipass`](crate::AttributeProfile::compute_multipass)
 //! walks its column once *per statistic*. The accumulator in
-//! [`crate::partial`] instead gathers everything in one walk — a shared
-//! value-count map feeding both constancy and top-k, a fused
-//! pattern/character/length walk for text ([`TextAcc`]), a row-order
-//! numeric buffer shared by mean, range and histogram — and this module
-//! reduces that state into the nine §5.1 statistics.
+//! [`crate::partial`] instead works from the column's first-seen codes —
+//! occurrence counts by code feeding both constancy and top-k, a fused
+//! pattern/character/length walk per distinct value for text
+//! ([`TextAcc`]), one row-order float buffer shared by the string
+//! length or by mean, range and histogram — and this module reduces that
+//! state into the nine §5.1 statistics.
 //!
 //! **Bit-identical output is a hard invariant** (the serve byte-match
 //! tests pin it): integer accumulations may be reordered freely, but
@@ -25,60 +26,14 @@ use crate::stats::{
     CharHistogram, Constancy, FillStatus, NumericHistogram, NumericMean, StringLength,
     TextPatterns, TopK, ValueRange,
 };
-use efes_relational::{DataType, Value};
+use efes_relational::{DataType, Value, ValueRef};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 
-/// Value counts under `Value`'s Eq/Hash (floats by bit pattern) — the
-/// input of constancy, distinctness and top-k.
-#[derive(Clone, Debug)]
-pub(crate) enum ValueCounts {
-    /// Distinct values with their counts, as a dictionary walk delivers
-    /// them: a cold text profile never builds a map (filling and
-    /// dropping a map of 10⁵ owned strings costs more than everything
-    /// else the walk does).
-    List(Vec<(Value, usize)>),
-    /// Keyed by value, for cell-at-a-time accumulation.
-    Map(HashMap<Value, usize>),
-}
-
-impl Default for ValueCounts {
-    fn default() -> Self {
-        ValueCounts::Map(HashMap::new())
-    }
-}
-
-impl ValueCounts {
-    /// The keyed form, converting a list on first use.
-    pub(crate) fn map(&mut self) -> &mut HashMap<Value, usize> {
-        if let ValueCounts::List(list) = self {
-            *self = ValueCounts::Map(std::mem::take(list).into_iter().collect());
-        }
-        match self {
-            ValueCounts::Map(map) => map,
-            ValueCounts::List(_) => unreachable!("converted above"),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            ValueCounts::List(list) => list.len(),
-            ValueCounts::Map(map) => map.len(),
-        }
-    }
-
-    fn for_each<'a>(&'a self, mut f: impl FnMut(&'a Value, usize)) {
-        match self {
-            ValueCounts::List(list) => list.iter().for_each(|(v, c)| f(v, *c)),
-            ValueCounts::Map(map) => map.iter().for_each(|(v, c)| f(v, *c)),
-        }
-    }
-}
-
-/// Accumulator for the three string statistics (text patterns, character
-/// histogram, string length), fed one rendered value at a time. The
-/// pattern abstraction, the character counts and the character length
-/// are all gathered in a single `chars()` walk.
+/// Accumulator for two string statistics (text patterns, character
+/// histogram), fed one rendered distinct value at a time with its
+/// weight. The pattern abstraction, the character counts and the
+/// character length are all gathered in a single `chars()` walk.
 #[derive(Clone, Debug)]
 pub(crate) struct TextAcc {
     patterns: HashMap<String, usize>,
@@ -86,9 +41,6 @@ pub(crate) struct TextAcc {
     ascii_chars: [usize; 128],
     other_chars: BTreeMap<char, usize>,
     total_chars: usize,
-    /// Per-row character lengths, in row order, so the mean/σ reduction
-    /// replays the multi-pass float ops.
-    lengths: Vec<f64>,
     /// Non-null values observed (the `total` of [`TextPatterns`]).
     total: usize,
     /// Scratch for the pattern under construction; allocation only
@@ -103,7 +55,6 @@ impl Default for TextAcc {
             ascii_chars: [0; 128],
             other_chars: BTreeMap::new(),
             total_chars: 0,
-            lengths: Vec::new(),
             total: 0,
             pattern_buf: String::new(),
         }
@@ -111,27 +62,10 @@ impl Default for TextAcc {
 }
 
 impl TextAcc {
-    /// Feed one per-row value: observe it once and record its length.
-    pub(crate) fn add_row(&mut self, s: &str) {
-        let len = self.observe(s, 1);
-        self.lengths.push(len as f64);
-    }
-
-    /// Pre-size the row-order length buffer for a replay of `n` rows.
-    pub(crate) fn reserve_lengths(&mut self, n: usize) {
-        self.lengths.reserve(n);
-    }
-
-    /// Append one row's character length (the dictionary path replays
-    /// per-row lengths from a per-code table instead of re-walking).
-    pub(crate) fn push_length(&mut self, len: f64) {
-        self.lengths.push(len);
-    }
-
     /// Feed one *distinct* value occurring `weight` times; returns its
-    /// character length. Per-row lengths are NOT recorded — the caller
-    /// (the dictionary path) replays them in row order itself, keeping
-    /// the mean/σ float reductions bit-identical to the multi-pass code.
+    /// character length. Per-row lengths are not recorded here: the
+    /// caller replays them in row order, keeping the mean/σ float
+    /// reductions bit-identical to the multi-pass code.
     pub(crate) fn observe(&mut self, s: &str, weight: usize) -> usize {
         self.total += weight;
         self.pattern_buf.clear();
@@ -167,7 +101,7 @@ impl TextAcc {
         len
     }
 
-    fn finalize(&self) -> (TextPatterns, CharHistogram, StringLength) {
+    fn finalize(&self) -> (TextPatterns, CharHistogram) {
         let mut counts: Vec<(&str, usize)> = self
             .patterns
             .iter()
@@ -190,7 +124,7 @@ impl TextAcc {
             frequencies,
             total_chars: self.total_chars,
         };
-        (patterns, histogram, string_length_of(&self.lengths))
+        (patterns, histogram)
     }
 }
 
@@ -277,14 +211,13 @@ fn numeric_stats_of(nums: &[f64]) -> (NumericMean, NumericHistogram, ValueRange)
 /// Replays `Constancy::compute`'s entropy reduction over the value
 /// counts (summed in ascending frequency order, as the multi-pass code
 /// does).
-fn constancy_of(count: usize, counts: &ValueCounts) -> Constancy {
+fn constancy_of(count: usize, counts: &[usize]) -> Constancy {
     let distinct = counts.len();
     let constancy = if count <= 1 {
         1.0
     } else {
         let n = count as f64;
-        let mut freqs: Vec<usize> = Vec::with_capacity(distinct);
-        counts.for_each(|_, c| freqs.push(c));
+        let mut freqs = counts.to_vec();
         freqs.sort_unstable();
         let entropy: f64 = freqs
             .into_iter()
@@ -303,43 +236,42 @@ fn constancy_of(count: usize, counts: &ValueCounts) -> Constancy {
     }
 }
 
-/// `TopK::compute`'s order: descending count, ties by ascending value.
-/// A strict total order over distinct map keys (`Value`'s `Ord` is total
-/// and agrees with its `Eq`), so selection and a full sort agree.
-fn top_k_order(a: (&Value, usize), b: (&Value, usize)) -> Ordering {
-    b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0))
-}
-
-/// The `k` first entries of `counts` under [`top_k_order`], selected by
-/// bounded insertion over borrowed entries: O(distinct · k) worst case,
-/// and only the `k` winners are cloned.
-fn top_k_of(counts: &ValueCounts, total: usize, k: usize) -> TopK {
-    let mut best: Vec<(&Value, usize)> = Vec::with_capacity(k + 1);
-    counts.for_each(|v, c| {
-        let entry = (v, c);
-        if best.len() == k {
-            match best.last() {
-                Some(&worst) if top_k_order(entry, worst) == Ordering::Less => {}
-                _ => return,
-            }
+/// The `k` best of `candidates` — `(code, count)` pairs, each code at
+/// most once — in `TopK::compute`'s order: descending count, ties by
+/// ascending value, `value(code)` being the code's value. That order is
+/// strict and total over distinct codes (they hold distinct values, and
+/// `ValueRef`'s order agrees with its equality), so bounded insertion
+/// selects what a full sort would keep: O(candidates · k) worst case.
+pub(crate) fn select_top_k<'a>(
+    candidates: impl IntoIterator<Item = (u32, usize)>,
+    value: impl Fn(u32) -> ValueRef<'a>,
+    k: usize,
+) -> Vec<(u32, usize)> {
+    let before = |a: (u32, usize), b: (u32, usize)| {
+        b.1.cmp(&a.1).then_with(|| value(a.0).cmp(&value(b.0))) == Ordering::Less
+    };
+    let mut best: Vec<(u32, usize)> = Vec::with_capacity(k + 1);
+    for entry in candidates {
+        if best.len() == k && !best.last().is_some_and(|&worst| before(entry, worst)) {
+            continue;
         }
-        let at = best.partition_point(|&b| top_k_order(b, entry) == Ordering::Less);
+        let at = best.partition_point(|&b| before(b, entry));
         best.insert(at, entry);
         best.truncate(k);
-    });
-    TopK {
-        values: best.into_iter().map(|(v, c)| (v.clone(), c)).collect(),
-        total,
     }
+    best
 }
 
-/// Reduce one attribute's accumulated state into its profile.
+/// Reduce one attribute's accumulated state into its profile: `counts`
+/// by code, the top-k winners' codes and values, and the row-order
+/// buffer of string lengths (text reference) or numbers (numeric one).
 pub(crate) fn assemble(
     reference_type: DataType,
     fill: FillStatus,
-    counts: &ValueCounts,
+    counts: &[usize],
+    top: &[(u32, Value)],
     text: Option<&TextAcc>,
-    nums: Option<&[f64]>,
+    rows: &[f64],
 ) -> AttributeProfile {
     let non_null = fill.total - fill.nulls;
     let mut p = AttributeProfile {
@@ -352,16 +284,22 @@ pub(crate) fn assemble(
         mean: None,
         histogram: None,
         range: None,
-        top_k: top_k_of(counts, non_null, TopK::DEFAULT_K),
+        top_k: TopK {
+            values: top
+                .iter()
+                .map(|(code, v)| (v.clone(), counts[*code as usize]))
+                .collect(),
+            total: non_null,
+        },
     };
     if let Some(acc) = text {
-        let (patterns, chars, lengths) = acc.finalize();
+        let (patterns, chars) = acc.finalize();
         p.text_patterns = Some(patterns);
         p.char_histogram = Some(chars);
-        p.string_length = Some(lengths);
+        p.string_length = Some(string_length_of(rows));
     }
-    if let Some(nums) = nums {
-        let (mean, histogram, range) = numeric_stats_of(nums);
+    if reference_type.is_numeric() {
+        let (mean, histogram, range) = numeric_stats_of(rows);
         p.mean = Some(mean);
         p.histogram = Some(histogram);
         p.range = Some(range);
@@ -374,22 +312,38 @@ mod tests {
     use super::*;
 
     /// Selection must return exactly what the full sort + truncate of
-    /// `TopK::compute` returns, including ties at the cut.
+    /// `TopK::compute` returns, including ties at the cut, whatever the
+    /// order the candidates arrive in.
     #[test]
     fn top_k_selection_matches_full_sort() {
-        let mut list: Vec<(Value, usize)> = (0..200i64)
-            .map(|i| (Value::Int(i), (i as usize * 7) % 5))
+        let mut values: Vec<Value> = (0..200i64).map(Value::Int).collect();
+        values.push(Value::Text("z".into()));
+        values.push(Value::Float(3.0));
+        let count = |code: usize| match code {
+            200 | 201 => 4,
+            i => (i * 7) % 5,
+        };
+        let mut sorted: Vec<(Value, usize)> = values
+            .iter()
+            .enumerate()
+            .map(|(c, v)| (v.clone(), count(c)))
             .collect();
-        list.push((Value::Text("z".into()), 4));
-        list.push((Value::Float(3.0), 4));
-        let mut sorted = list.clone();
         sorted.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let as_list = ValueCounts::List(list.clone());
-        let as_map = ValueCounts::Map(list.into_iter().collect());
+        let value = |code: u32| ValueRef::of(&values[code as usize]);
         for k in [0usize, 1, 3, 10, 300] {
             let expect: Vec<(Value, usize)> = sorted.iter().take(k).cloned().collect();
-            assert_eq!(top_k_of(&as_list, 999, k).values, expect, "list, k={k}");
-            assert_eq!(top_k_of(&as_map, 999, k).values, expect, "map, k={k}");
+            for reversed in [false, true] {
+                let mut candidates: Vec<(u32, usize)> =
+                    (0..values.len()).map(|c| (c as u32, count(c))).collect();
+                if reversed {
+                    candidates.reverse();
+                }
+                let got: Vec<(Value, usize)> = select_top_k(candidates, value, k)
+                    .into_iter()
+                    .map(|(c, n)| (values[c as usize].clone(), n))
+                    .collect();
+                assert_eq!(got, expect, "k={k}, reversed={reversed}");
+            }
         }
     }
 }

@@ -1,13 +1,32 @@
 //! The profiling kernel: the §5.1 statistics as an append-only
-//! accumulator.
+//! accumulator over a column's own codes.
 //!
 //! A [`PartialProfile`] holds everything the nine statistics of one
-//! attribute need, detached from any particular walk. It can be fed one
-//! [`ValueRef`] at a time ([`PartialProfile::accumulate`]), fed a
-//! contiguous row range of a typed [`Column`]
-//! ([`PartialProfile::accumulate_range`]), or built over a whole column
-//! in one go ([`PartialProfile::of_column_ctx`], which takes the
-//! dictionary-weighted path for text columns).
+//! attribute need. It absorbs a typed [`Column`] one contiguous row range
+//! at a time ([`PartialProfile::accumulate_range`]); a cold build
+//! ([`PartialProfile::of_column_ctx`]) is one range over the whole
+//! column. Each range reads the column's one numbering of its values,
+//! [`Column::distinct_codes`] (a text column lends its dictionary, any
+//! other column gets one word-keyed pass), and
+//!
+//! * adds the range's code tally to occurrence counts indexed by code;
+//! * runs the per-value work (cast check, rendering, the text walk,
+//!   numeric parse) once per code the range touches, weighted by its
+//!   occurrences in the range;
+//! * replays the row-order float buffer from a per-code table;
+//! * selects the top-k winners while the column is at hand and keeps
+//!   only their `k` values.
+//!
+//! Codes are first-seen: the codes of rows `0..n` are exactly `0..d`,
+//! `d` being the distinct values among them. An extension of a column is
+//! cell for cell a prefix of its successor ([`Column::is_prefix_of`],
+//! variant changes included), so the successor numbers its first rows
+//! as the shorter column did, and the retained counts stay addressed by
+//! the successor's codes: a partial keeps no index of its own. An append
+//! costs a text column the appended rows plus a few words per distinct
+//! value, since its dictionary is the numbering; any other column is
+//! numbered again once.
+//!
 //! [`PartialProfile::finalize`] reduces the state into an
 //! [`AttributeProfile`] without consuming or copying it, so a retained
 //! partial keeps absorbing appended rows:
@@ -26,8 +45,7 @@
 //!   the rows arrived;
 //! * everything else (fill tallies, value counts, pattern counts,
 //!   character counts) is integer addition, and the reducers sort by
-//!   total orders before any float math, so map iteration order never
-//!   leaks.
+//!   total orders before any float math, so no iteration order leaks.
 //!
 //! This is the only code that produces an [`AttributeProfile`]:
 //! `AttributeProfile::{compute, compute_columnar, of_attribute_ctx}` and
@@ -35,13 +53,13 @@
 //! `tests/proptests.rs` pin it against the multi-pass oracle and pin
 //! chunked accumulation against one cold build.
 
-use crate::kernel::{self, TextAcc, ValueCounts};
+use crate::kernel::{self, TextAcc};
 use crate::profile::AttributeProfile;
-use crate::stats::FillStatus;
+use crate::stats::{FillStatus, TopK};
 use efes_exec::{Cancelled, Checkpoint};
 use efes_relational::column::NULL_CODE;
 use efes_relational::schema::{AttrId, TableId};
-use efes_relational::{Column, DataType, Database, TextColumn, Value, ValueRef};
+use efes_relational::{Column, DataType, Database, Value, ValueRef};
 use std::fmt::Write as _;
 
 /// Accumulator covering all nine §5.1 statistics for one attribute
@@ -53,18 +71,18 @@ pub struct PartialProfile {
     total: usize,
     nulls: usize,
     incompatible: usize,
-    /// Feeds constancy, distinctness and top-k.
-    counts: ValueCounts,
+    /// Occurrences of each distinct non-null value seen, indexed by its
+    /// first-seen code. Feeds constancy and distinctness.
+    counts: Vec<usize>,
+    /// The top-k winners among `counts`, best first: code and value.
+    top: Vec<(u32, Value)>,
     /// Present iff the reference type is `Text`.
     text: Option<TextAcc>,
-    /// Row-order numeric buffer; present iff the reference type is
-    /// numeric.
-    nums: Option<Vec<f64>>,
-    /// Render scratch, excluded from all semantics.
-    render_buf: String,
-    /// Lookup key for text cells, reused so a repeated string costs a
-    /// copy instead of an allocation. Excluded from all semantics.
-    text_probe: Value,
+    /// The row-order buffer the order-sensitive float reductions replay:
+    /// each non-null row's character length under a text reference, the
+    /// number of each row that holds one under a numeric reference, and
+    /// nothing under a boolean one.
+    rows: Vec<f64>,
 }
 
 /// The multi-pass code's per-cell compatibility check (`try_cast`) over
@@ -85,6 +103,30 @@ fn incompatible_value(rt: DataType, v: ValueRef<'_>) -> bool {
     }
 }
 
+/// `v` as the multi-pass text statistics render it: text borrowed,
+/// numbers written into `buf`.
+fn rendered<'a>(v: ValueRef<'a>, buf: &'a mut String) -> &'a str {
+    buf.clear();
+    match v {
+        ValueRef::Text(s) => return s,
+        ValueRef::Bool(b) => return if b { "true" } else { "false" },
+        ValueRef::Null => return "",
+        ValueRef::Int(i) => write!(buf, "{i}"),
+        ValueRef::Float(f) => write!(buf, "{f}"),
+    }
+    .expect("write to String");
+    buf
+}
+
+/// `v` as the multi-pass numeric statistics read it: integers and floats
+/// as they are, text that parses as a number once trimmed.
+fn number_of(v: ValueRef<'_>) -> Option<f64> {
+    match v {
+        ValueRef::Text(s) => s.trim().parse::<f64>().ok(),
+        _ => v.as_f64(),
+    }
+}
+
 impl PartialProfile {
     /// A partial that has seen no rows.
     pub fn new(reference_type: DataType) -> Self {
@@ -93,11 +135,10 @@ impl PartialProfile {
             total: 0,
             nulls: 0,
             incompatible: 0,
-            counts: ValueCounts::default(),
+            counts: Vec::new(),
+            top: Vec::new(),
             text: (reference_type == DataType::Text).then(TextAcc::default),
-            nums: reference_type.is_numeric().then(Vec::new),
-            render_buf: String::new(),
-            text_probe: Value::Text(String::new()),
+            rows: Vec::new(),
         }
     }
 
@@ -113,73 +154,13 @@ impl PartialProfile {
         self.total
     }
 
-    fn count_value(&mut self, v: ValueRef<'_>) {
-        let counts = self.counts.map();
-        match v {
-            ValueRef::Text(s) => {
-                if let Value::Text(probe) = &mut self.text_probe {
-                    probe.clear();
-                    probe.push_str(s);
-                }
-                match counts.get_mut(&self.text_probe) {
-                    Some(n) => *n += 1,
-                    None => {
-                        counts.insert(self.text_probe.clone(), 1);
-                    }
-                }
-            }
-            _ => *counts.entry(v.to_value()).or_insert(0) += 1,
-        }
-    }
-
-    /// Feed one cell. Null cells advance only the fill tallies; all other
-    /// cells update the count map and whichever of the text/numeric
-    /// accumulators the reference type designates, rendered and parsed
-    /// exactly as the multi-pass statistics render and parse them.
-    pub fn accumulate(&mut self, v: ValueRef<'_>) {
-        self.total += 1;
-        if v.is_null() {
-            self.nulls += 1;
-            return;
-        }
-        if incompatible_value(self.reference_type, v) {
-            self.incompatible += 1;
-        }
-        self.count_value(v);
-        if let Some(acc) = &mut self.text {
-            match v {
-                ValueRef::Text(s) => acc.add_row(s),
-                ValueRef::Int(i) => {
-                    self.render_buf.clear();
-                    write!(self.render_buf, "{i}").expect("write to String");
-                    acc.add_row(&self.render_buf);
-                }
-                ValueRef::Float(f) => {
-                    self.render_buf.clear();
-                    write!(self.render_buf, "{f}").expect("write to String");
-                    acc.add_row(&self.render_buf);
-                }
-                ValueRef::Bool(b) => acc.add_row(if b { "true" } else { "false" }),
-                ValueRef::Null => unreachable!(),
-            }
-        } else if let Some(nums) = &mut self.nums {
-            match v {
-                ValueRef::Int(i) => nums.push(i as f64),
-                ValueRef::Float(f) => nums.push(f),
-                ValueRef::Text(s) => {
-                    if let Ok(x) = s.trim().parse::<f64>() {
-                        nums.push(x);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Feed the contiguous row range `lo..hi` of a typed column, ticking
-    /// the checkpoint once per row. Integer and float columns under a
-    /// non-text reference get machine-word loops; everything else goes
-    /// through [`PartialProfile::accumulate`] per cell.
+    /// Feed the row range `lo..hi` of `col`, ticking the checkpoint once
+    /// per row and once per distinct value the range holds.
+    ///
+    /// The partial must have seen exactly rows `0..lo` of `col`, or of a
+    /// column `col` extends ([`Column::is_prefix_of`]): `lo` equals
+    /// [`rows_seen`](Self::rows_seen), and the retained counts are read
+    /// by `col`'s codes.
     pub fn accumulate_range(
         &mut self,
         col: &Column,
@@ -187,52 +168,96 @@ impl PartialProfile {
         hi: usize,
         ck: &Checkpoint<'_>,
     ) -> Result<(), Cancelled> {
-        debug_assert!(lo <= hi && hi <= col.len());
-        match col {
-            Column::Int { values, nulls } if self.text.is_none() => {
-                let boolean_rt = self.reference_type == DataType::Boolean;
-                let counts = self.counts.map();
-                for (i, &v) in values.iter().enumerate().take(hi).skip(lo) {
-                    ck.tick()?;
-                    self.total += 1;
-                    if nulls.is_null(i) {
-                        self.nulls += 1;
-                        continue;
-                    }
-                    if boolean_rt && v != 0 && v != 1 {
-                        self.incompatible += 1;
-                    }
-                    *counts.entry(Value::Int(v)).or_insert(0) += 1;
-                    if let Some(nums) = &mut self.nums {
-                        nums.push(v as f64);
-                    }
-                }
-            }
-            Column::Float { values, nulls } if self.text.is_none() => {
-                let counts = self.counts.map();
-                for (i, &v) in values.iter().enumerate().take(hi).skip(lo) {
-                    ck.tick()?;
-                    self.total += 1;
-                    if nulls.is_null(i) {
-                        self.nulls += 1;
-                        continue;
-                    }
-                    if incompatible_value(self.reference_type, ValueRef::Float(v)) {
-                        self.incompatible += 1;
-                    }
-                    *counts.entry(Value::Float(v)).or_insert(0) += 1;
-                    if let Some(nums) = &mut self.nums {
-                        nums.push(v);
-                    }
-                }
+        assert_eq!(
+            lo, self.total,
+            "a partial absorbs the rows after those it has seen"
+        );
+        let distinct = col.distinct_codes();
+        let codes = &distinct.codes()[lo..hi];
+        let (mut tally, nulls) = match col {
+            // A whole text column's tally is its dictionary's counts.
+            Column::Text(t) if lo == 0 && hi == t.len() => {
+                (t.dict_counts().to_vec(), t.null_count())
             }
             _ => {
-                for i in lo..hi {
+                let mut tally = vec![0usize; distinct.len()];
+                let mut nulls = 0;
+                for &code in codes {
                     ck.tick()?;
-                    self.accumulate(col.value(i));
+                    if code == NULL_CODE {
+                        nulls += 1;
+                    } else {
+                        tally[code as usize] += 1;
+                    }
+                }
+                // Rows `0..hi` hold exactly the codes below `seen`.
+                let seen = tally.iter().rposition(|&n| n > 0).map_or(0, |c| c + 1);
+                tally.truncate(seen.max(self.counts.len()));
+                (tally, nulls)
+            }
+        };
+
+        // Per-value work, once per code the range holds. `per_code` is
+        // what each code's rows add to the row-order buffer.
+        let rt = self.reference_type;
+        let buffered = self.text.is_some() || rt.is_numeric();
+        let mut per_code: Vec<Option<f64>> = vec![None; if buffered { tally.len() } else { 0 }];
+        let mut buffered_rows = 0;
+        let mut render = String::new();
+        for (code, &weight) in tally.iter().enumerate() {
+            if weight == 0 {
+                continue;
+            }
+            ck.tick()?;
+            let v = distinct.value(code as u32);
+            if incompatible_value(rt, v) {
+                self.incompatible += weight;
+            }
+            let row_value = match &mut self.text {
+                Some(acc) => Some(acc.observe(rendered(v, &mut render), weight) as f64),
+                None if rt.is_numeric() => number_of(v),
+                None => None,
+            };
+            if row_value.is_some() {
+                per_code[code] = row_value;
+                buffered_rows += weight;
+            }
+        }
+        if buffered_rows > 0 {
+            self.rows.reserve_exact(buffered_rows);
+            for &code in codes {
+                ck.tick()?;
+                if code != NULL_CODE {
+                    if let Some(x) = per_code[code as usize] {
+                        self.rows.push(x);
+                    }
                 }
             }
         }
+
+        // The new winners are among the old ones and the codes this range
+        // touched: any other value kept its count and stays beaten.
+        let count =
+            |code: u32| tally[code as usize] + self.counts.get(code as usize).copied().unwrap_or(0);
+        let prior: Vec<u32> = self.top.iter().map(|&(code, _)| code).collect();
+        let touched =
+            (0..tally.len() as u32).filter(|&c| tally[c as usize] > 0 && !prior.contains(&c));
+        let winners = kernel::select_top_k(
+            prior.iter().copied().chain(touched).map(|c| (c, count(c))),
+            |c| distinct.value(c),
+            TopK::DEFAULT_K,
+        );
+        self.top = winners
+            .into_iter()
+            .map(|(code, _)| (code, distinct.value(code).to_value()))
+            .collect();
+
+        for (n, old) in tally.iter_mut().zip(&self.counts) {
+            *n += old;
+        }
+        self.counts = tally;
+        self.total = hi;
+        self.nulls += nulls;
         Ok(())
     }
 
@@ -247,25 +272,21 @@ impl PartialProfile {
                 incompatible: self.incompatible,
             },
             &self.counts,
+            &self.top,
             self.text.as_ref(),
-            self.nums.as_deref(),
+            &self.rows,
         )
     }
 
-    /// Build the partial of one whole column. Text columns take the
-    /// weighted dictionary walk (per-string work once per *distinct*
-    /// value); everything else takes [`PartialProfile::accumulate_range`]
-    /// over the full row range.
+    /// Build the partial of one whole column: one
+    /// [`accumulate_range`](Self::accumulate_range) over all its rows.
     pub fn of_column_ctx(
         col: &Column,
         reference_type: DataType,
         ck: &Checkpoint<'_>,
     ) -> Result<Self, Cancelled> {
         let mut partial = Self::new(reference_type);
-        match col {
-            Column::Text(tc) => partial.absorb_text_column(tc, ck)?,
-            _ => partial.accumulate_range(col, 0, col.len(), ck)?,
-        }
+        partial.accumulate_range(col, 0, col.len(), ck)?;
         Ok(partial)
     }
 
@@ -282,66 +303,6 @@ impl PartialProfile {
             Some(col) => Self::of_column_ctx(col, reference_type, ck),
             None => Ok(Self::new(reference_type)),
         }
-    }
-
-    /// The dictionary path for a fresh partial: the expensive per-string
-    /// work (pattern/char walk, cast checks, numeric parses) runs once
-    /// per distinct value, weighted by its occurrence count; only the
-    /// order-sensitive float buffers are filled per row, from per-code
-    /// tables.
-    fn absorb_text_column(
-        &mut self,
-        tc: &TextColumn,
-        ck: &Checkpoint<'_>,
-    ) -> Result<(), Cancelled> {
-        debug_assert_eq!(self.total, 0);
-        let rt = self.reference_type;
-        let dict_len = tc.dict_len();
-        let mut counts = Vec::with_capacity(dict_len);
-        let mut char_lens: Vec<f64> = Vec::new();
-        let mut parsed: Vec<Option<f64>> = Vec::new();
-        for code in 0..dict_len as u32 {
-            ck.tick()?;
-            let s = tc.dict_str(code);
-            let weight = tc.dict_count(code);
-            counts.push((Value::Text(s.to_owned()), weight));
-            if let Some(acc) = &mut self.text {
-                char_lens.push(acc.observe(s, weight) as f64);
-            } else {
-                if self.nums.is_some() {
-                    parsed.push(s.trim().parse::<f64>().ok());
-                }
-                if !rt.casts_text(s) {
-                    self.incompatible += weight;
-                }
-            }
-        }
-
-        // Dictionary entries are distinct, so the list needs no index.
-        self.counts = ValueCounts::List(counts);
-        self.total = tc.len();
-        self.nulls = tc.null_count();
-        let non_null = self.total - self.nulls;
-        if let Some(acc) = &mut self.text {
-            acc.reserve_lengths(non_null);
-            for &code in tc.codes() {
-                ck.tick()?;
-                if code != NULL_CODE {
-                    acc.push_length(char_lens[code as usize]);
-                }
-            }
-        } else if let Some(nums) = &mut self.nums {
-            nums.reserve(non_null);
-            for &code in tc.codes() {
-                ck.tick()?;
-                if code != NULL_CODE {
-                    if let Some(x) = parsed[code as usize] {
-                        nums.push(x);
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 }
 

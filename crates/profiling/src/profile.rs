@@ -82,20 +82,20 @@ pub struct AttributeProfile {
 impl AttributeProfile {
     /// Profile a column (an iterator of values) against `reference_type`.
     ///
-    /// Feeds every value through one [`PartialProfile`] accumulator —
-    /// one walk serves every applicable statistic. The output is
-    /// bit-identical to the multi-pass oracle,
-    /// [`AttributeProfile::compute_multipass`] (the property tests in
-    /// this crate compare them field for field).
+    /// Pushes the values into a typed [`Column`], as
+    /// [`Column::from_cells`] does, and profiles that through the one
+    /// [`PartialProfile`] kernel. The output is bit-identical to the
+    /// multi-pass oracle, [`AttributeProfile::compute_multipass`] (the
+    /// property tests in this crate compare them field for field).
     pub fn compute<'a, I>(values: I, reference_type: DataType) -> Self
     where
         I: IntoIterator<Item = &'a Value>,
     {
-        let mut partial = PartialProfile::new(reference_type);
+        let mut column = Column::default();
         for v in values {
-            partial.accumulate(ValueRef::of(v));
+            column.push(ValueRef::of(v));
         }
-        partial.finalize()
+        Self::compute_columnar(&column, reference_type)
     }
 
     /// The multi-pass oracle: one full walk of the column per statistic,
@@ -143,8 +143,8 @@ impl AttributeProfile {
     }
 
     /// Profile a typed [`Column`] directly through
-    /// [`PartialProfile::of_column_ctx`] (dictionary-weighted statistics
-    /// for text columns, machine-word loops for numeric ones).
+    /// [`PartialProfile::of_column_ctx`]: per-value work once per
+    /// distinct value of the column's first-seen numbering.
     pub fn compute_columnar(column: &Column, reference_type: DataType) -> Self {
         let run = efes_exec::RunContext::unbounded();
         PartialProfile::of_column_ctx(column, reference_type, &run.checkpoint())

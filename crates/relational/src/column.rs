@@ -27,12 +27,14 @@
 //! ([`DistinctCodes`]). A text column already holds that numbering, its
 //! dictionary; every other column gets it from one typed pass. It is the
 //! one implementation behind [`Column::distinct_values`] and
-//! [`Column::distinct_count`], and CSG conversion (paper §4.1) reads an
+//! [`Column::distinct_count`]. CSG conversion (paper §4.1) reads an
 //! attribute node's elements and its tuple → value links straight off
-//! it.
+//! it, the profiling kernel counts a column's values by its codes, and
+//! constraint discovery compares columns through it.
 
 use crate::value::Value;
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 
 /// A borrowed, `Copy` view of one cell.
@@ -80,6 +82,38 @@ impl Hash for ValueRef<'_> {
             ValueRef::Float(f) => f.to_bits().hash(state),
             ValueRef::Text(s) => s.hash(state),
             ValueRef::Bool(b) => b.hash(state),
+        }
+    }
+}
+
+impl PartialOrd for ValueRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ValueRef<'_> {
+    /// [`Value`]'s total order: NULL, booleans, numbers, text. Integers
+    /// and floats compare numerically, an integer before the equal float;
+    /// floats compare by [`f64::total_cmp`]. It agrees with the equality
+    /// above.
+    fn cmp(&self, other: &Self) -> Ordering {
+        use ValueRef::*;
+        let rank = |v: ValueRef<'_>| match v {
+            Null => 0,
+            Bool(_) => 1,
+            Int(_) => 2,
+            Float(_) => 3,
+            Text(_) => 4,
+        };
+        match (*self, *other) {
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Float(a), Float(b)) => a.total_cmp(&b),
+            (Int(a), Float(b)) => (a as f64).total_cmp(&b).then(Ordering::Less),
+            (Float(a), Int(b)) => a.total_cmp(&(b as f64)).then(Ordering::Greater),
+            (Text(a), Text(b)) => a.cmp(b),
+            (a, b) => rank(a).cmp(&rank(b)),
         }
     }
 }
@@ -1009,6 +1043,35 @@ mod tests {
         let back: Vec<Value> = c.iter().map(ValueRef::to_value).collect();
         assert_eq!(back[3], Value::Text("b".into()));
         assert!(back[2].is_null());
+    }
+
+    #[test]
+    fn value_ref_order_is_value_order() {
+        let values = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(i64::MIN),
+            Value::Int(-1),
+            Value::Int(1),
+            Value::Int(2),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(1.0),
+            Value::Float(1.5),
+            Value::Float(f64::NAN),
+            Value::Text(String::new()),
+            Value::Text("a".into()),
+            Value::Text("b".into()),
+        ];
+        for a in &values {
+            for b in &values {
+                let (x, y) = (ValueRef::of(a), ValueRef::of(b));
+                assert_eq!(x.cmp(&y), a.cmp(b), "{a:?} vs {b:?}");
+                assert_eq!(x == y, a == b, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

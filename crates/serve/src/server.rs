@@ -872,9 +872,11 @@ fn handle_match(state: &Arc<ServerState>, request: &Request) -> Response {
 
 /// Rebuild an extended scenario's profile cache from the partial states
 /// retained by the previous version's cache: unchanged tables re-seed
-/// their profiles for free, grown tables accumulate only the appended
-/// rows (O(delta)) and finalize — bit-identical to a cold re-profile,
-/// because accumulating consecutive row ranges equals one cold build.
+/// their profiles for free, grown tables absorb only the appended rows
+/// and finalize — bit-identical to a cold re-profile, because
+/// accumulating consecutive row ranges equals one cold build. A text
+/// column lends its dictionary as the numbering; any other grown column
+/// is numbered again once.
 fn refresh_extended_cache(state: &Arc<ServerState>, name: &str, growth: &[TableGrowth]) {
     let Some(scenario) = state.registry.get(name) else {
         return;

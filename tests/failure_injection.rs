@@ -173,3 +173,73 @@ fn unpriced_custom_tasks_are_visible_as_zero_minutes() {
     );
     assert_eq!(model.minutes_for(&task, &Default::default()), 0.0);
 }
+
+/// Path search in a dense foreign-key mesh whose end is unreachable. The
+/// source has `T` tables, each keyed and referencing every other, plus a
+/// table no key reaches; the target relationship `x → x.b` corresponds
+/// to a meshed table and the lone table's key, which no source path
+/// joins. Enumerating every simple path of up to 8 readings through the
+/// mesh grows about as T⁵ and checked no deadline: at T = 34 one
+/// sequential estimate took 3.7–5.3 s in a release build. Pruned by the
+/// distance to the end, the search costs one breadth-first pass.
+#[test]
+fn unreachable_path_ends_in_a_foreign_key_mesh_answer_within_the_deadline() {
+    use efes_exec::{CancellationToken, RunContext};
+    use efes_profiling::ProfileCache;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    const T: usize = 34;
+    let mut source = DatabaseBuilder::new("mesh");
+    for i in 0..T {
+        source = source.table(&format!("t{i}"), |mut t| {
+            t = t.attr("id", DataType::Integer).primary_key(&["id"]);
+            for j in (0..T).filter(|&j| j != i) {
+                let fk = format!("r{j}");
+                t = t
+                    .attr(&fk, DataType::Integer)
+                    .foreign_key(&[&fk], &format!("t{j}"), &["id"]);
+            }
+            t
+        });
+    }
+    let source = source
+        .table("lone", |t| t.attr("id", DataType::Integer))
+        .build()
+        .unwrap();
+    let target = DatabaseBuilder::new("target")
+        .table("x", |t| {
+            t.attr("a", DataType::Integer).attr("b", DataType::Integer)
+        })
+        .build()
+        .unwrap();
+    let corrs = CorrespondenceBuilder::new(&source, &target)
+        .table("t0", "x")
+        .unwrap()
+        .attr("t0", "id", "x", "a")
+        .unwrap()
+        .attr("lone", "id", "x", "b")
+        .unwrap()
+        .finish();
+    let scenario = IntegrationScenario::single_source("mesh", source, target, corrs).unwrap();
+
+    let deadline = Duration::from_secs(2);
+    let started = Instant::now();
+    let run = RunContext::new(CancellationToken::new(), Some(started + deadline));
+    let config = EstimationConfig {
+        execution: ExecutionPolicy::Sequential,
+        ..EstimationConfig::default()
+    };
+    let estimate = Estimator::with_default_modules(config).estimate_with_cache_ctx(
+        &scenario,
+        Arc::new(ProfileCache::new()),
+        run,
+    );
+    let took = started.elapsed();
+    assert!(
+        estimate.is_ok(),
+        "the estimate overran its {deadline:?} deadline: {:?} after {took:?}",
+        estimate.err()
+    );
+    assert!(took < deadline, "took {took:?}");
+}
